@@ -127,9 +127,8 @@ main(int argc, char **argv)
             for (const auto &loop : fa.loopInfo().loops()) {
                 if (loop->parent)
                     continue;
-                row.workload = analysis::estimateWorkload(
-                    fa.loopInfo(), loop.get(),
-                    analysis::InstCountFn());
+                row.workload =
+                    analysis::estimateWorkload(fa.loopInfo(), loop.get());
             }
         }
         std::printf("N=%4d  chosen=%-14s predicted=%.6g ms  "

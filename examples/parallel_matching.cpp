@@ -49,8 +49,7 @@ main()
     ir::Module serialModule;
     auto serial = drv.compileAndMatch(src.str(), serialModule);
     ir::Module parallelModule;
-    auto parallel =
-        drv.compileAndMatchParallel(src.str(), parallelModule, 4);
+    auto parallel = drv.compileAndMatch(src.str(), parallelModule, 4);
 
     std::printf("one module, 8 functions:  serial %zu matches, "
                 "4 threads %zu matches\n",

@@ -6,14 +6,12 @@
 #ifndef ANALYSIS_FUNCTION_ANALYSES_H
 #define ANALYSIS_FUNCTION_ANALYSES_H
 
-#include <map>
 #include <memory>
 
 #include "analysis/candidate_index.h"
 #include "analysis/cfg.h"
 #include "analysis/dominators.h"
 #include "analysis/loops.h"
-#include "analysis/workload.h"
 
 namespace repro::analysis {
 
@@ -86,28 +84,6 @@ class FunctionAnalyses
     bool hasMemoryDependenceEdge(const Instruction *a,
                                  const Instruction *b);
 
-    /**
-     * Dynamic workload descriptors keyed by natural-loop header,
-     * deposited by the driver after a profiled run of the original
-     * program (MatchingDriver::profileWorkloads) and consumed by the
-     * transform layer's backend cost model. Absent headers fall back
-     * to the static estimate.
-     */
-    void
-    setWorkload(const BasicBlock *header, WorkloadDescriptor wd)
-    {
-        workloads_[header] = wd;
-    }
-
-    const WorkloadDescriptor *
-    workloadFor(const BasicBlock *header) const
-    {
-        auto it = workloads_.find(header);
-        return it == workloads_.end() ? nullptr : &it->second;
-    }
-
-    bool hasWorkloads() const { return !workloads_.empty(); }
-
     /** Invalidate after the function is mutated. */
     void
     invalidate()
@@ -117,7 +93,6 @@ class FunctionAnalyses
         cfg_.reset();
         loops_.reset();
         candidates_.reset();
-        workloads_.clear();
     }
 
   private:
@@ -127,7 +102,6 @@ class FunctionAnalyses
     std::unique_ptr<InstCFG> cfg_;
     std::unique_ptr<LoopInfo> loops_;
     std::unique_ptr<CandidateIndex> candidates_;
-    std::map<const BasicBlock *, WorkloadDescriptor> workloads_;
 };
 
 /**

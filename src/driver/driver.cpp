@@ -34,8 +34,9 @@ resolveThreads(unsigned requested, size_t numItems)
 }
 
 /**
- * The work-stealing shard pool shared by the parallel matcher
- * (matchShards) and the parallel transform-verification harness:
+ * The work-stealing shard pool shared by the match loop
+ * (matchShards), the transform stage (applyAllParallel) and the
+ * transform-verification harness (verifyTransforms):
  * @p work(item, worker) runs once per item index on one of
  * @p numThreads workers (already resolved via resolveThreads). One
  * shared counter is the queue: idle workers pop the next unclaimed
@@ -114,125 +115,21 @@ MatchReport::matchCount() const
 
 MatchingDriver::MatchingDriver(DriverOptions opts) : opts_(opts) {}
 
-uint64_t
-MatchingDriver::nextEpoch()
-{
-    // Process-wide: two drivers sharing one MatchCache must never be
-    // at the same epoch, or a recycled function address in driver B
-    // could revive analyses whose IR driver A already destroyed.
-    static std::atomic<uint64_t> counter{0};
-    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 MatchReport
 MatchingDriver::compileAndMatch(const std::string &source,
-                                ir::Module &module)
+                                ir::Module &module, unsigned numThreads)
 {
-    // A new batch over a new module: entries from any earlier module
-    // are stale (its functions may even share recycled addresses).
+    // A new module: analyses cached for any earlier module are stale
+    // (its functions may even share recycled addresses).
     invalidateAll();
     frontend::compileMiniCOrDie(source, module, opts_.verify);
-    return matchModule(module);
+    return matchModule(module, numThreads);
 }
 
 MatchReport
-MatchingDriver::matchModule(ir::Module &module)
+MatchingDriver::matchModule(ir::Module &module, unsigned numThreads)
 {
-    MatchReport report;
-    for (const auto &f : module.functions()) {
-        if (f->isDeclaration())
-            continue;
-        FunctionReport fr;
-        fr.function = f.get();
-        bool replayed = false;
-        if (opts_.cache) {
-            fr.contentHash = f->contentHash();
-            replayed = tryReplay(f.get(), &fr);
-            replayed ? ++report.cacheHits : ++report.cacheMisses;
-        }
-        if (!replayed) {
-            idioms::IdiomDetector detector(opts_.limits);
-            fr.matches =
-                detector.detect(f.get(), analysesFor(f.get()));
-            fr.stats = detector.stats();
-            fr.status = detector.status();
-            accumulate(fr.stats);
-            if (opts_.cache) {
-                auto it = cache_.find(f.get());
-                storeSolveResult(f.get(), fr,
-                                 it != cache_.end()
-                                     ? it->second.analyses
-                                     : nullptr);
-            }
-        }
-        report.status = solver::worseStatus(report.status, fr.status);
-        report.totals += fr.stats;
-        report.functions.push_back(std::move(fr));
-    }
-    if (opts_.applyTransforms) {
-        transform::Transformer transformer(module, opts_.verify,
-                                           backendConfig(true));
-        report.replacements = transformer.applyAll(report.allMatches());
-        // The transformation stage rewrites matched functions and adds
-        // extracted kernels; every cached analysis is suspect now.
-        invalidateAll();
-    }
-    return report;
-}
-
-transform::BackendConfig
-MatchingDriver::backendConfig(bool withWorkloads)
-{
-    transform::BackendConfig config;
-    config.policy = opts_.backendPolicy;
-    config.forced = opts_.forcedBackends;
-    if (withWorkloads) {
-        // Serves the profiled descriptors profileWorkloads deposited
-        // for the still-live module. Read-only on cache_: a function
-        // with no slot (or a rebuilt slot without workloads) falls
-        // back to the engine's static estimate.
-        config.workloads =
-            [this](const ir::Function *f, const ir::BasicBlock *header)
-            -> const analysis::WorkloadDescriptor * {
-            auto it = cache_.find(const_cast<ir::Function *>(f));
-            if (it == cache_.end() || !it->second.analyses)
-                return nullptr;
-            return it->second.analyses->workloadFor(header);
-        };
-    }
-    return config;
-}
-
-void
-MatchingDriver::profileWorkloads(
-    ir::Module &module, const benchmarks::BenchmarkProgram &program)
-{
-    interp::Memory mem;
-    interp::Interpreter interp(module, mem);
-    interp::registerMathBuiltins(interp);
-    interp.enableProfile(true);
-    benchmarks::Instance instance = program.setup(mem);
-    ir::Function *entry = module.functionByName(program.entry);
-    if (!entry)
-        throw FatalError("profileWorkloads: no entry function @" +
-                         program.entry);
-    interp.run(entry, instance.args);
-    const interp::Profile &profile = interp.profile();
-    analysis::InstCountFn counts =
-        [&profile](const ir::Instruction *inst) -> uint64_t {
-        auto it = profile.counts.find(inst);
-        return it == profile.counts.end() ? 0 : it->second;
-    };
-    for (const auto &f : module.functions()) {
-        if (f->isDeclaration())
-            continue;
-        analysis::FunctionAnalyses &fa = analysesFor(f.get());
-        const analysis::LoopInfo &loops = fa.loopInfo();
-        for (const auto &loop : loops.loops())
-            fa.setWorkload(
-                loop->header,
-                analysis::estimateWorkload(loops, loop.get(), counts));
-    }
+    return std::move(runParallelBatch({&module}, numThreads).front());
 }
 
 solver::SolveStats
@@ -260,20 +157,17 @@ MatchingDriver::matchShards(
                 return;
             }
         }
-        // Worker-owned analyses (each function is exactly one shard):
-        // no sharing with other workers or with the driver's serial
-        // cache_, hence no locks on the matching hot path.
+        // Shard-owned analyses (each function is exactly one shard):
+        // no sharing with other workers or with the driver's
+        // analysis cache_, hence no locks on the matching hot path.
         analysis::FunctionAnalyses fa(func);
         idioms::IdiomDetector detector(opts_.limits);
         fr.matches = detector.detect(func, fa);
         fr.stats = detector.stats();
         fr.status = detector.status();
         workerStats[w] += fr.stats;
-        if (opts_.cache) {
-            // The worker's analyses are stack-owned and die with the
-            // shard; only the portable matches are stored.
-            storeSolveResult(func, fr, nullptr);
-        }
+        if (opts_.cache)
+            storeSolveResult(func, fr);
         *items[i].second = std::move(fr);
     });
 
@@ -283,13 +177,6 @@ MatchingDriver::matchShards(
     for (const auto &s : workerStats)
         merged += s;
     return merged;
-}
-
-MatchReport
-MatchingDriver::runParallel(ir::Module &module, unsigned numThreads)
-{
-    std::vector<ir::Module *> modules{&module};
-    return std::move(runParallelBatch(modules, numThreads).front());
 }
 
 std::vector<MatchReport>
@@ -330,9 +217,9 @@ MatchingDriver::runParallelBatch(
     }
     if (opts_.applyTransforms) {
         // The transform stage shards over modules on the same pool
-        // (transformShards inside applyAllParallel): each module gets
-        // a private transactional engine, so results are identical to
-        // the serial stage and ordered by module.
+        // (applyAllParallel): each module gets a private
+        // transactional engine, so results are identical for every
+        // thread count and ordered by module.
         std::vector<std::vector<idioms::IdiomMatch>> matches;
         matches.reserve(modules.size());
         for (const auto &report : reports)
@@ -342,7 +229,7 @@ MatchingDriver::runParallelBatch(
         for (size_t m = 0; m < modules.size(); ++m)
             reports[m].replacements = std::move(replacements[m]);
         // The transformation stage rewrites matched functions; any
-        // analyses the driver's serial cache holds are suspect now.
+        // analyses the driver's cache holds are suspect now.
         invalidateAll();
     }
     return reports;
@@ -361,27 +248,15 @@ MatchingDriver::applyAllParallel(
     std::vector<std::vector<transform::Replacement>> out(
         modules.size());
     unsigned threads = resolveThreads(numThreads, modules.size());
-    // Workload hook omitted (backendConfig(false)): the hook reads
-    // the driver's serial analysis cache, which workers must not
-    // touch. Cost-model selection on the parallel path prices the
-    // static trip-count estimate instead.
-    transform::BackendConfig config = backendConfig(false);
+    transform::BackendConfig config;
+    config.policy = opts_.backendPolicy;
+    config.forced = opts_.forcedBackends;
     runSharded(modules.size(), threads, [&](size_t i, unsigned) {
         transform::Transformer transformer(*modules[i], opts_.verify,
                                            config);
         out[i] = transformer.applyAll(matches[i]);
     });
     return out;
-}
-
-MatchReport
-MatchingDriver::compileAndMatchParallel(const std::string &source,
-                                        ir::Module &module,
-                                        unsigned numThreads)
-{
-    invalidateAll();
-    frontend::compileMiniCOrDie(source, module, opts_.verify);
-    return runParallel(module, numThreads);
 }
 
 namespace {
@@ -533,13 +408,6 @@ compareResults(const ExecutionSnapshot &original,
 
 TransformVerification
 MatchingDriver::verifyTransform(
-    const benchmarks::BenchmarkProgram &program) const
-{
-    return verifyTransform(program, nullptr);
-}
-
-TransformVerification
-MatchingDriver::verifyTransform(
     const benchmarks::BenchmarkProgram &program,
     const std::function<void(ir::Module &)> &tamper) const
 {
@@ -590,16 +458,7 @@ MatchingDriver::verifyTransform(
 }
 
 std::vector<TransformVerification>
-MatchingDriver::verifyTransforms() const
-{
-    std::vector<TransformVerification> out;
-    for (const auto &program : benchmarks::nasParboilSuite())
-        out.push_back(verifyTransform(program));
-    return out;
-}
-
-std::vector<TransformVerification>
-MatchingDriver::verifyTransformsParallel(unsigned numThreads) const
+MatchingDriver::verifyTransforms(unsigned numThreads) const
 {
     // Touch every magic-static cache (suite sources, parsed idiom
     // library, lowered/compiled programs) before workers spawn.
@@ -668,19 +527,6 @@ MatchingDriver::analysesFor(ir::Function *func)
     if (slot.analyses && slot.hash == hash)
         return *slot.analyses;
     slot.hash = hash;
-    if (opts_.cache) {
-        // A same-epoch deposit for this exact live function skips the
-        // rebuild (e.g. analyses built by an earlier request against
-        // the still-live module).
-        CacheKey key{hash, idioms::idiomSetHash()};
-        slot.analyses = opts_.cache->analysesFor(key, func, epoch_);
-        if (slot.analyses)
-            return *slot.analyses;
-        slot.analyses =
-            std::make_shared<analysis::FunctionAnalyses>(func);
-        opts_.cache->depositAnalyses(key, slot.analyses, func, epoch_);
-        return *slot.analyses;
-    }
     slot.analyses = std::make_shared<analysis::FunctionAnalyses>(func);
     return *slot.analyses;
 }
@@ -696,16 +542,6 @@ MatchingDriver::invalidateAll()
 {
     cache_.clear();
     module_ = nullptr;
-    // New epoch: analyses deposited in the MatchCache under earlier
-    // epochs are unreachable from now on, even if a later module's
-    // function recycles an old address.
-    epoch_ = nextEpoch();
-}
-
-void
-MatchingDriver::attachCache(std::shared_ptr<MatchCache> cache)
-{
-    opts_.cache = std::move(cache);
 }
 
 bool
@@ -729,9 +565,8 @@ MatchingDriver::tryReplay(ir::Function *func, FunctionReport *fr)
 }
 
 void
-MatchingDriver::storeSolveResult(
-    ir::Function *func, const FunctionReport &fr,
-    std::shared_ptr<analysis::FunctionAnalyses> analyses)
+MatchingDriver::storeSolveResult(ir::Function *func,
+                                 const FunctionReport &fr)
 {
     // A degraded solve (budget/deadline) found a valid but possibly
     // incomplete match set. Caching it would freeze the truncation:
@@ -745,11 +580,6 @@ MatchingDriver::storeSolveResult(
         return;
     entry.signature = MatchCache::signatureOf(func);
     entry.stats = fr.stats;
-    if (analyses) {
-        entry.analyses = std::move(analyses);
-        entry.analysesOwner = func;
-        entry.analysesEpoch = epoch_;
-    }
     opts_.cache->insert(CacheKey{fr.contentHash,
                                  idioms::idiomSetHash()},
                         std::move(entry));

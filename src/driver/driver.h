@@ -16,12 +16,12 @@
  * Matching is embarrassingly parallel across functions: solving
  * writes nothing outside per-function state (analyses, candidate
  * indices including the function's own value ids, solver stats), all
- * of which is owned by a single worker. runParallel /
- * runParallelBatch exploit that with a work-stealing shard pool while
- * keeping results byte-identical to the serial driver. The guarantee
- * is scoped per function: run at most one matching pass over a given
- * module at a time (two concurrent runs would both build indices —
- * and write ids — for the same functions).
+ * of which is owned by a single worker. The driver has one match
+ * loop, a work-stealing shard pool (runParallelBatch; matchModule is
+ * its one-module case), whose results are byte-identical for every
+ * thread count. The guarantee is scoped per function: run at most one
+ * matching pass over a given module at a time (two concurrent runs
+ * would both build indices — and write ids — for the same functions).
  */
 #ifndef DRIVER_DRIVER_H
 #define DRIVER_DRIVER_H
@@ -55,7 +55,7 @@ struct DriverOptions
     bool applyTransforms = false;
     /**
      * Cross-request match cache shared between drivers, service
-     * sessions and worker threads (see driver/match_cache.h). When
+     * requests and worker threads (see driver/match_cache.h). When
      * set, matchModule/runParallelBatch replay cached solve results
      * for any function whose contentHash is already stored instead of
      * re-solving it. Null (the default) preserves the pure batch
@@ -77,9 +77,8 @@ struct DriverOptions
      * idiom class to its historical host target, keeping Table 1
      * counts and every byte-parity test unchanged; CostModel ranks
      * all legal (API, platform) lowerings by the cost model
-     * (runtime/cost.h) against the call site's workload descriptor
-     * (profiled via profileWorkloads, else the static trip-count
-     * estimate) and commits the cheapest.
+     * (runtime/cost.h) against the call site's static trip-count
+     * workload estimate and commits the cheapest.
      */
     transform::BackendPolicy backendPolicy =
         transform::BackendPolicy::Fixed;
@@ -195,25 +194,25 @@ struct SolveOutcome
 };
 
 /**
- * The matching pipeline, usable one-shot or as a long-lived session
- * core. One driver instance owns a per-function analysis cache;
- * reusing the instance across calls reuses the analyses as long as
- * the underlying functions are not mutated. Entries are guarded by
+ * The matching pipeline. One driver instance owns a per-function
+ * analysis cache serving matchFunction, matchOne and solveProgram
+ * (the module-level match loop gives every shard its own analyses);
+ * reusing the instance across those calls reuses the analyses as long
+ * as the underlying functions are not mutated. Entries are guarded by
  * the function's contentHash(): a mutated (or recompiled-in-place)
  * function is detected on the next analysesFor and its stale
  * dominators/loops/CandidateIndex are rebuilt instead of served.
  *
  * The analysis cache holds raw pointers into one module.
- * compileAndMatch starts every batch by dropping it, and analysesFor
- * drops it when handed a function of a different live module; but
+ * compileAndMatch starts by dropping it, and analysesFor drops it
+ * when handed a function of a different live module; but
  * when a module is destroyed and the driver then matches functions of
- * a NEW module via matchFunction/matchOne/solveProgram directly, call
- * invalidateAll() first — address recycling can defeat the
- * pointer-identity guard.
+ * a NEW module, call invalidateAll() first — address recycling can
+ * defeat the pointer-identity guard.
  *
- * With a MatchCache attached (DriverOptions::cache or attachCache),
- * matchModule / runParallel / runParallelBatch become incremental
- * across requests: each function's solve result is stored portably
+ * With a MatchCache attached (DriverOptions::cache), matchModule and
+ * runParallelBatch become incremental across requests: each
+ * function's solve result is stored portably
  * under (contentHash, idiomSetHash), and any later function hashing
  * equal — the same function resubmitted, or the same body from
  * another client — replays the stored matches re-anchored onto its
@@ -231,50 +230,39 @@ class MatchingDriver
 
     /**
      * Full pipeline: compile @p source into @p module (parse, codegen,
-     * mem2reg, LICM, DCE), then match every function in a batch.
+     * mem2reg, LICM, DCE), then matchModule with @p numThreads.
      * Throws FatalError on compilation failure.
      */
     MatchReport compileAndMatch(const std::string &source,
-                                ir::Module &module);
-
-    /** Batch-match every defined function of an existing module. */
-    MatchReport matchModule(ir::Module &module);
+                                ir::Module &module,
+                                unsigned numThreads = 1);
 
     /**
-     * Parallel matchModule: the module's defined functions become
-     * shards on a work-stealing queue drained by @p numThreads
-     * workers (0 = hardware concurrency, 1 = inline on the calling
-     * thread). Each worker owns its FunctionAnalyses cache and a
-     * private SolveStats accumulator, merged at join, so the match
-     * sets, the per-function stats and the aggregated totals are
-     * byte-identical to matchModule() and reported in module order
-     * regardless of scheduling. The optional transformation stage
-     * runs after the join through applyAllParallel (one rewrite
-     * engine per module on the same pool).
+     * Batch-match every defined function of an existing module: the
+     * one-module case of runParallelBatch. With @p numThreads == 1
+     * (the default) the single worker runs inline on the calling
+     * thread.
      */
-    MatchReport runParallel(ir::Module &module,
-                            unsigned numThreads = 0);
+    MatchReport matchModule(ir::Module &module, unsigned numThreads = 1);
 
     /**
-     * Parallel matching across several modules through one shared
-     * work-stealing queue — the right shape when every module has few
-     * functions (each of the paper's 21 benchmark programs compiles
-     * to a single-function module). Reports are returned in
-     * @p modules order with the same determinism guarantees as
-     * runParallel.
+     * The match loop. Every defined function of @p modules becomes a
+     * shard on one work-stealing queue drained by @p numThreads
+     * workers (0 = hardware concurrency, 1 = inline on the calling
+     * thread) — the right shape when every module has few functions
+     * (each of the paper's 21 benchmark programs compiles to a
+     * single-function module). Each shard builds its own
+     * FunctionAnalyses and each worker keeps a private SolveStats
+     * accumulator, merged at join, so the match sets, per-function
+     * stats and totals are identical for every thread count and
+     * reported in @p modules order regardless of scheduling. The
+     * optional transformation stage runs after the join through
+     * applyAllParallel (one rewrite engine per module on the same
+     * pool).
      */
     std::vector<MatchReport>
     runParallelBatch(const std::vector<ir::Module *> &modules,
                      unsigned numThreads = 0);
-
-    /**
-     * Full pipeline with parallel matching: serial compile (parse,
-     * codegen, mem2reg, LICM, DCE), then runParallel over the result.
-     * Throws FatalError on compilation failure.
-     */
-    MatchReport compileAndMatchParallel(const std::string &source,
-                                        ir::Module &module,
-                                        unsigned numThreads = 0);
 
     /**
      * Parallel transform stage: module @p i becomes one shard on the
@@ -299,38 +287,30 @@ class MatchingDriver
      * (match -> transform -> bind -> execute); see
      * TransformVerification for the exact contract. Self-contained:
      * compiles private modules and drivers, never touches this
-     * instance's analysis cache (only opts_.limits is read), so it is
+     * instance's analysis cache (only the options are read), so it is
      * safe to call concurrently from many workers.
-     */
-    TransformVerification
-    verifyTransform(const benchmarks::BenchmarkProgram &program) const;
-
-    /**
-     * verifyTransform with a sabotage hook: @p tamper mutates the
-     * transformed module after match + rewrite but before any
-     * execution. The negative-oracle tests drive this to prove the
-     * differential harness can actually fail — a deliberately broken
-     * transformation (say, a dropped store) must surface as a
-     * non-empty error, otherwise the 21-program green run proves
-     * nothing. Pass a null hook for the production behavior.
+     *
+     * @p tamper, when set, mutates the transformed module after
+     * match + rewrite but before any execution. The negative-oracle
+     * tests drive it to prove the differential harness can actually
+     * fail — a deliberately broken transformation (say, a dropped
+     * store) must surface as a non-empty error, otherwise the
+     * 21-program green run proves nothing.
      */
     TransformVerification
     verifyTransform(const benchmarks::BenchmarkProgram &program,
-                    const std::function<void(ir::Module &)> &tamper)
-        const;
-
-    /** verifyTransform over the whole NAS/Parboil suite, in order. */
-    std::vector<TransformVerification> verifyTransforms() const;
+                    const std::function<void(ir::Module &)> &tamper =
+                        nullptr) const;
 
     /**
-     * Parallel verifyTransforms: the suite's programs become shards
-     * on the same work-stealing pool the parallel matcher uses
-     * (0 = hardware concurrency). Results are written to slots
-     * preassigned in suite order, so they are identical to the
-     * serial variant regardless of scheduling.
+     * verifyTransform over the whole NAS/Parboil suite: the programs
+     * become shards on the match loop's work-stealing pool
+     * (0 = hardware concurrency, 1 = inline). Results are written to
+     * slots preassigned in suite order, so they are identical for
+     * every thread count.
      */
     std::vector<TransformVerification>
-    verifyTransformsParallel(unsigned numThreads = 0) const;
+    verifyTransforms(unsigned numThreads = 1) const;
 
     /** Match one function, all top-level idioms, with subsumption. */
     std::vector<idioms::IdiomMatch> matchFunction(ir::Function *func);
@@ -346,19 +326,6 @@ class MatchingDriver
      */
     SolveOutcome solveProgram(ir::Function *func,
                               const solver::ConstraintProgram &program);
-
-    /**
-     * Profile the module's dynamic workloads: execute @p program's
-     * entry once with instruction profiling on, estimate a
-     * WorkloadDescriptor for every natural loop from the observed
-     * counts (analysis/workload.h), and deposit the descriptors into
-     * this driver's cached analyses. A subsequent matchModule with
-     * BackendPolicy::CostModel prices backends against the profiled
-     * trip counts / bytes instead of the static fallback. The run
-     * mutates only a private Memory; the module itself is untouched.
-     */
-    void profileWorkloads(ir::Module &module,
-                          const benchmarks::BenchmarkProgram &program);
 
     /**
      * The cached analyses of @p func (built on first request). The
@@ -380,42 +347,7 @@ class MatchingDriver
 
     const DriverOptions &options() const { return opts_; }
 
-    /**
-     * Replace the solver limits for subsequent solves. The service
-     * front uses this to apply a per-request wall-clock deadline
-     * (SolverLimits::deadline) to a long-lived session driver; the
-     * caller must serialize this against concurrent runs (MatchService
-     * holds its session mutex across set + match).
-     */
-    void setSolverLimits(const solver::SolverLimits &limits)
-    {
-        opts_.limits = limits;
-    }
-
-    /** Attach (or detach, with nullptr) the cross-request cache. */
-    void attachCache(std::shared_ptr<MatchCache> cache);
-
-    /** The attached cross-request cache; may be null. */
-    const std::shared_ptr<MatchCache> &matchCache() const
-    {
-        return opts_.cache;
-    }
-
-    /**
-     * Analysis epoch: drawn from a process-wide monotonic counter at
-     * construction and re-drawn by every invalidateAll(). Analyses
-     * deposited into the MatchCache are tagged with it so a recycled
-     * function address from a destroyed module can never revive
-     * another epoch's analyses. Globally unique across driver
-     * instances — a MatchCache shared between drivers can never hand
-     * one driver analyses deposited by another.
-     */
-    uint64_t epoch() const { return epoch_; }
-
   private:
-    /** Next value of the process-wide epoch counter (never 0). */
-    static uint64_t nextEpoch();
-
     void accumulate(const solver::SolveStats &delta);
 
     /**
@@ -427,26 +359,14 @@ class MatchingDriver
     bool tryReplay(ir::Function *func, FunctionReport *fr);
 
     /**
-     * Store @p fr's freshly solved matches in the attached cache,
-     * depositing @p analyses (may be null) for same-epoch reuse.
+     * Store @p fr's freshly solved matches in the attached cache.
      * Functions whose bindings cannot be encoded portably are left
      * uncached.
      */
-    void storeSolveResult(
-        ir::Function *func, const FunctionReport &fr,
-        std::shared_ptr<analysis::FunctionAnalyses> analyses);
+    void storeSolveResult(ir::Function *func, const FunctionReport &fr);
 
     /**
-     * Backend-selection inputs for a Transformer, derived from the
-     * options. With @p withWorkloads the config's workload hook reads
-     * this driver's serial analysis cache (profileWorkloads deposits)
-     * — serial transform stage only; the parallel stage passes false
-     * so workers never touch cache_.
-     */
-    transform::BackendConfig backendConfig(bool withWorkloads);
-
-    /**
-     * The parallel engine: drain (function, report slot) work items
+     * The shard engine: drain (function, report slot) work items
      * with @p numThreads workers and return the merged per-worker
      * stats. Slot pointers must stay stable for the whole call.
      */
@@ -468,7 +388,6 @@ class MatchingDriver
     /** Module the cached analyses belong to. */
     const ir::Module *module_ = nullptr;
     std::map<ir::Function *, AnalysesSlot> cache_;
-    uint64_t epoch_ = nextEpoch();
 };
 
 } // namespace repro::driver

@@ -28,12 +28,9 @@
  * replay, so a 64-bit contentHash collision between two different
  * bodies degrades to a fresh solve instead of wrong matches.
  *
- * Entries also carry the function's SolveStats (so replayed reports
- * are byte-identical to cold ones) and may hold the live
- * FunctionAnalyses built during the solve. Analyses reference IR by
- * address and cannot be transplanted; they are only handed back for
- * the exact owner function within the driver epoch that deposited
- * them (see MatchingDriver::analysesFor).
+ * Entries also carry the function's SolveStats, so replayed reports
+ * are byte-identical to cold ones. Nothing in an entry references
+ * live IR.
  *
  * Size-bounded: least-recently-used entries are evicted beyond
  * capacity(). All operations are mutex-guarded, so parallel matching
@@ -50,7 +47,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/function_analyses.h"
 #include "idioms/library.h"
 #include "solver/solver.h"
 
@@ -134,15 +130,6 @@ struct CachedMatches
     StructuralSignature signature;
     /** Solver effort of the original solve, replayed into reports. */
     solver::SolveStats stats;
-
-    /**
-     * Live analyses deposited by the solve that created the entry.
-     * Only valid for the exact owner function within the owner epoch;
-     * never dereference `analysesOwner` — compare it.
-     */
-    std::shared_ptr<analysis::FunctionAnalyses> analyses;
-    const ir::Function *analysesOwner = nullptr;
-    uint64_t analysesEpoch = 0;
 };
 
 /** Monotonic effectiveness counters (reported by STATS / benches). */
@@ -173,24 +160,6 @@ class MatchCache
     /** Store (or refresh) the entry for @p key. */
     void insert(const CacheKey &key, CachedMatches value);
 
-    /**
-     * Deposit live analyses into an existing entry so later requests
-     * for the same live function can skip rebuilding them. No-op when
-     * the key is absent (e.g. already evicted).
-     */
-    void depositAnalyses(
-        const CacheKey &key,
-        std::shared_ptr<analysis::FunctionAnalyses> analyses,
-        const ir::Function *owner, uint64_t epoch);
-
-    /**
-     * The deposited analyses of @p key, iff they were built for
-     * exactly @p owner during @p epoch; nullptr otherwise.
-     */
-    std::shared_ptr<analysis::FunctionAnalyses>
-    analysesFor(const CacheKey &key, const ir::Function *owner,
-                uint64_t epoch);
-
     void countHit();
     void countMiss();
 
@@ -200,7 +169,6 @@ class MatchCache
     size_t size() const;
 
     CacheCounters counters() const;
-    void resetCounters();
 
     /** Drop every entry (counters survive; eviction count grows). */
     void clear();

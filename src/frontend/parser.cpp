@@ -1,6 +1,7 @@
 #include "frontend/parser.h"
 
 #include <map>
+#include <string>
 
 namespace repro::frontend {
 
@@ -25,6 +26,35 @@ class Parser
     }
 
   private:
+    /** Open one nesting level; rejects the program past the limit. */
+    void
+    enterLevel()
+    {
+        if (++depth_ > kMaxNestingDepth) {
+            diags_.error(peek().loc,
+                         "nesting deeper than the limit of " +
+                             std::to_string(kMaxNestingDepth) +
+                             " levels");
+            throw FatalError("MiniC parse error");
+        }
+    }
+
+    /** One nesting level for the scope of a recursive descent. */
+    class NestingGuard
+    {
+      public:
+        explicit NestingGuard(Parser &parser) : parser_(parser)
+        {
+            parser_.enterLevel();
+        }
+        ~NestingGuard() { --parser_.depth_; }
+        NestingGuard(const NestingGuard &) = delete;
+        NestingGuard &operator=(const NestingGuard &) = delete;
+
+      private:
+        Parser &parser_;
+    };
+
     const Token &peek(int ahead = 0) const
     {
         size_t i = pos_ + static_cast<size_t>(ahead);
@@ -250,6 +280,7 @@ class Parser
     StmtPtr
     parseStatement()
     {
+        NestingGuard level(*this);
         const Token &t = peek();
         if (t.isPunct("{"))
             return parseBlock();
@@ -425,6 +456,7 @@ class Parser
     ExprPtr
     parseAssignExpr()
     {
+        NestingGuard level(*this);
         ExprPtr lhs = parseTernary();
         const Token &t = peek();
         static const char *assign_ops[] = {"=",  "+=", "-=",
@@ -477,6 +509,9 @@ class Parser
     parseBinary(int min_prec)
     {
         ExprPtr lhs = parseUnary();
+        // Each operator applied to the running left operand nests it
+        // one level deeper in the tree: a + b + c is ((a + b) + c).
+        int chained = 0;
         while (true) {
             const Token &t = peek();
             if (!t.is(TokKind::Punct))
@@ -485,6 +520,8 @@ class Parser
             if (prec < 0 || prec < min_prec)
                 break;
             Token op = next();
+            enterLevel();
+            ++chained;
             ExprPtr rhs = parseBinary(prec + 1);
             auto e = std::make_unique<Expr>(Expr::Kind::Binary);
             e->loc = op.loc;
@@ -493,6 +530,7 @@ class Parser
             e->children.push_back(std::move(rhs));
             lhs = std::move(e);
         }
+        depth_ -= chained;
         return lhs;
     }
 
@@ -506,6 +544,7 @@ class Parser
             auto e = std::make_unique<Expr>(Expr::Kind::Unary);
             e->loc = op.loc;
             e->op = op.text;
+            NestingGuard level(*this);
             e->children.push_back(parseUnary());
             return e;
         }
@@ -515,6 +554,7 @@ class Parser
             auto e = std::make_unique<Expr>(Expr::Kind::Assign);
             e->loc = op.loc;
             e->op = op.text == "++" ? "+=" : "-=";
+            NestingGuard level(*this);
             e->children.push_back(parseUnary());
             auto one = std::make_unique<Expr>(Expr::Kind::IntLit);
             one->intValue = 1;
@@ -528,6 +568,7 @@ class Parser
             auto e = std::make_unique<Expr>(Expr::Kind::Unary);
             e->loc = t.loc;
             e->op = "cast:" + castName(type);
+            NestingGuard level(*this);
             e->children.push_back(parseUnary());
             return e;
         }
@@ -646,6 +687,8 @@ class Parser
     std::vector<Token> tokens_;
     DiagEngine &diags_;
     size_t pos_ = 0;
+    /** Current nesting level (see kMaxNestingDepth). */
+    int depth_ = 0;
 };
 
 } // namespace

@@ -253,9 +253,6 @@ class Interpreter
         faultFired_ = false;
         faultCounter_ = 0;
     }
-    void disarmFault() { fault_.reset(); }
-    /** Whether the armed fault has been injected already. */
-    bool faultFired() const { return faultFired_; }
     /** Dynamic charges counted in the target function's frames. */
     uint64_t faultCounter() const { return faultCounter_; }
     /** Dynamic instructions executed by the last top-level run. */
@@ -272,7 +269,6 @@ class Interpreter
      * The tree-walking reference engine is unaffected.
      */
     void setVerifyMode(ir::VerifyMode mode) { verify_ = mode; }
-    ir::VerifyMode verifyMode() const { return verify_; }
 
   private:
     friend class CompiledExec;

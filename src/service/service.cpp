@@ -19,23 +19,11 @@ millisSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-driver::DriverOptions
-sessionDriverOptions(const ServiceOptions &opts,
-                     std::shared_ptr<driver::MatchCache> cache)
-{
-    driver::DriverOptions d;
-    d.limits = opts.limits;
-    d.cache = std::move(cache);
-    d.backendPolicy = opts.backendPolicy;
-    return d;
-}
-
 } // namespace
 
 MatchService::MatchService(ServiceOptions opts)
     : opts_(opts),
-      cache_(std::make_shared<driver::MatchCache>(opts.cacheCapacity)),
-      driver_(sessionDriverOptions(opts, cache_))
+      cache_(std::make_shared<driver::MatchCache>(opts.cacheCapacity))
 {}
 
 SubmitOutcome
@@ -72,21 +60,18 @@ MatchService::submit(const std::string &moduleName,
     }
     outcome.compileMillis = millisSince(t0);
 
-    // The driver's analysis cache points into the previously matched
-    // module; this request targets a new one. (The epoch bump also
-    // retires analyses deposited in the MatchCache, so recycled
-    // addresses can never revive them.)
-    driver_.invalidateAll();
-    // The deadline clock starts when the solve starts, not when the
-    // request was parsed: compile time is not solver effort. mutex_
-    // serializes submissions, so setSolverLimits never races.
-    uint64_t effectiveDeadline = deadlineMillis != 0
-                                     ? deadlineMillis
-                                     : opts_.defaultDeadlineMillis;
-    driver_.setSolverLimits(solver::SolverLimits::withDeadline(
-        opts_.limits, effectiveDeadline));
+    // One driver per request, sharing only the MatchCache. The
+    // deadline clock starts when the solve starts, not when the
+    // request was parsed: compile time is not solver effort.
+    driver::DriverOptions driverOpts;
+    driverOpts.limits = solver::SolverLimits::withDeadline(
+        opts_.limits, deadlineMillis != 0 ? deadlineMillis
+                                          : opts_.defaultDeadlineMillis);
+    driverOpts.cache = cache_;
+    driverOpts.backendPolicy = opts_.backendPolicy;
+    driver::MatchingDriver driver(driverOpts);
     t0 = std::chrono::steady_clock::now();
-    driver::MatchReport report = driver_.matchModule(*module);
+    driver::MatchReport report = driver.matchModule(*module);
     outcome.matchMillis = millisSince(t0);
 
     outcome.ok = true;
@@ -138,8 +123,8 @@ MatchService::submit(const std::string &moduleName,
 
     Session &session = sessions_[moduleName];
     session.source = source;
-    // Destroying the replaced module is safe: the driver cache was
-    // invalidated above and the new report holds no pointers into it.
+    // Destroying the replaced module is safe: the new report holds no
+    // pointers into it.
     session.module = std::move(module);
     session.outcome = outcome;
     return outcome;
@@ -164,9 +149,6 @@ MatchService::drop(const std::string &moduleName)
     auto it = sessions_.find(moduleName);
     if (it == sessions_.end())
         return false;
-    // The driver's analysis cache may point into the dying module;
-    // never let a later submission's recycled addresses alias it.
-    driver_.invalidateAll();
     sessions_.erase(it);
     return true;
 }
@@ -175,7 +157,6 @@ void
 MatchService::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    driver_.invalidateAll();
     sessions_.clear();
     cache_->clear();
 }

@@ -6,7 +6,8 @@
  * on every invocation; MatchService is the long-lived alternative a
  * daemon fronts. It keeps one session per client module name (the
  * submitted source, its compiled ir::Module, and the last report) and
- * routes every submission through a cache-attached MatchingDriver, so
+ * matches every submission with a fresh MatchingDriver attached to
+ * the shared MatchCache, so
  * resubmitting an edited module re-solves only the functions whose
  * structural contentHash() changed — every unchanged function replays
  * its cached matches, re-anchored onto the freshly compiled IR (see
@@ -17,10 +18,9 @@
  * module or function names.
  *
  * All public methods are mutex-guarded; concurrent connections of the
- * socket server may call into one MatchService freely. Submitted
- * modules stay alive until their session is replaced, dropped or
- * reset, so cached analyses deposited for live functions can never
- * dangle (the driver's epoch guard covers the replacement window).
+ * socket server may call into one MatchService freely. The cache
+ * holds portable matches only, never pointers into a session's IR,
+ * so replacing or dropping a session cannot leave anything dangling.
  */
 #ifndef SERVICE_SERVICE_H
 #define SERVICE_SERVICE_H
@@ -182,7 +182,6 @@ class MatchService
     mutable std::mutex mutex_;
     ServiceOptions opts_;
     std::shared_ptr<driver::MatchCache> cache_;
-    driver::MatchingDriver driver_;
     std::map<std::string, Session> sessions_;
 };
 

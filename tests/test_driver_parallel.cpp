@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests of the parallel matching driver: runParallel / runParallelBatch
+ * Tests of the driver's match loop (the work-stealing shard engine
+ * behind matchModule / runParallelBatch): for any thread count it
  * must produce match sets, per-function stats and aggregated totals
- * byte-identical to the serial driver, for any thread count, on the
- * example modules and on synthetic many-function modules; and the
- * 1-thread path must equal serial without spawning workers.
+ * byte-identical to an independent serial oracle — a per-function
+ * matchFunction loop, which solves through the driver's analysis
+ * cache and IdiomDetector and never enters the shard engine — on the
+ * example modules and on synthetic many-function modules.
  */
 #include <gtest/gtest.h>
 
@@ -36,7 +38,37 @@ expectSameStats(const solver::SolveStats &a, const solver::SolveStats &b)
     EXPECT_EQ(a.solutions, b.solutions);
 }
 
-/** Serial-vs-parallel report equality, field by field. */
+/**
+ * The serial oracle: a fresh driver per function, matched through
+ * matchFunction, so each function's stats are that driver's totals.
+ */
+driver::MatchReport
+perFunctionReport(ir::Module &module)
+{
+    driver::MatchReport report;
+    for (const auto &f : module.functions()) {
+        if (f->isDeclaration())
+            continue;
+        driver::MatchingDriver drv;
+        driver::FunctionReport fr;
+        fr.function = f.get();
+        fr.matches = drv.matchFunction(f.get());
+        fr.stats = drv.totals();
+        report.totals += fr.stats;
+        report.functions.push_back(std::move(fr));
+    }
+    return report;
+}
+
+/** perFunctionReport over a fresh compile of @p source. */
+driver::MatchReport
+perFunctionReport(const std::string &source, ir::Module &module)
+{
+    frontend::compileMiniCOrDie(source, module);
+    return perFunctionReport(module);
+}
+
+/** Oracle-vs-engine report equality, field by field. */
 void
 expectSameReport(const driver::MatchReport &serial,
                  const driver::MatchReport &parallel)
@@ -78,18 +110,17 @@ TEST(DriverParallel, MatchesSerialOnExampleModules)
     for (const char *name : {"sgemm", "CG", "stencil", "histo"}) {
         const auto &b = benchmarks::benchmarkByName(name);
 
-        driver::MatchingDriver serialDrv;
         ir::Module serialModule;
-        auto serial =
-            serialDrv.compileAndMatch(b.source, serialModule);
+        auto serial = perFunctionReport(b.source, serialModule);
 
-        driver::MatchingDriver parallelDrv;
-        ir::Module parallelModule;
-        auto parallel = parallelDrv.compileAndMatchParallel(
-            b.source, parallelModule, 4);
-
-        SCOPED_TRACE(name);
-        expectSameReport(serial, parallel);
+        for (unsigned threads : {1u, 2u, 4u, 0u}) {
+            driver::MatchingDriver drv;
+            ir::Module module;
+            auto parallel = drv.compileAndMatch(b.source, module, threads);
+            SCOPED_TRACE(std::string(name) + " @ " +
+                         std::to_string(threads));
+            expectSameReport(serial, parallel);
+        }
     }
 }
 
@@ -99,9 +130,9 @@ TEST(DriverParallel, OneThreadEqualsSerial)
     ir::Module module;
     frontend::compileMiniCOrDie(b.source, module);
 
+    auto serial = perFunctionReport(module);
     driver::MatchingDriver drv;
-    auto serial = drv.matchModule(module);
-    auto oneThread = drv.runParallel(module, 1);
+    auto oneThread = drv.matchModule(module);
     expectSameReport(serial, oneThread);
 }
 
@@ -111,16 +142,14 @@ TEST(DriverParallel, ManyFunctionModuleAnyThreadCount)
     // more shards than workers so the work-stealing queue rotates.
     std::string source = manyFunctionSource(16);
 
-    driver::MatchingDriver serialDrv;
     ir::Module serialModule;
-    auto serial = serialDrv.compileAndMatch(source, serialModule);
+    auto serial = perFunctionReport(source, serialModule);
     EXPECT_EQ(serial.matchCount(), 16u);
 
-    for (unsigned threads : {1u, 2u, 3u, 8u}) {
+    for (unsigned threads : {1u, 2u, 3u, 4u, 8u, 0u}) {
         driver::MatchingDriver drv;
         ir::Module module;
-        auto parallel =
-            drv.compileAndMatchParallel(source, module, threads);
+        auto parallel = drv.compileAndMatch(source, module, threads);
         SCOPED_TRACE(threads);
         expectSameReport(serial, parallel);
         // The driver's lifetime totals see exactly this batch.
@@ -139,15 +168,14 @@ TEST(DriverParallel, BatchAcrossModulesMatchesSerial)
     std::vector<std::unique_ptr<ir::Module>> modules;
     std::vector<ir::Module *> modulePtrs;
     std::vector<driver::MatchReport> serial;
-    driver::MatchingDriver serialDrv;
     for (const auto *p : programs) {
         modules.push_back(std::make_unique<ir::Module>());
         frontend::compileMiniCOrDie(p->source, *modules.back());
         modulePtrs.push_back(modules.back().get());
-        serial.push_back(serialDrv.matchModule(*modules.back()));
+        serial.push_back(perFunctionReport(*modules.back()));
     }
 
-    for (unsigned threads : {2u, 4u}) {
+    for (unsigned threads : {1u, 2u, 4u, 0u}) {
         driver::MatchingDriver drv;
         auto parallel = drv.runParallelBatch(modulePtrs, threads);
         ASSERT_EQ(parallel.size(), serial.size());
@@ -164,13 +192,12 @@ TEST(DriverParallel, HardwareConcurrencyDefault)
     // numThreads = 0 resolves to hardware concurrency and must stay
     // deterministic regardless of what that is.
     std::string source = manyFunctionSource(8);
-    driver::MatchingDriver serialDrv;
     ir::Module serialModule;
-    auto serial = serialDrv.compileAndMatch(source, serialModule);
+    auto serial = perFunctionReport(source, serialModule);
 
     driver::MatchingDriver drv;
     ir::Module module;
-    auto parallel = drv.compileAndMatchParallel(source, module, 0);
+    auto parallel = drv.compileAndMatch(source, module, 0);
     expectSameReport(serial, parallel);
 }
 
@@ -181,11 +208,11 @@ TEST(DriverParallel, TransformsApplyAfterParallelMatch)
     opts.applyTransforms = true;
     driver::MatchingDriver drv(opts);
     ir::Module module;
-    auto report = drv.compileAndMatchParallel(b.source, module, 4);
+    auto report = drv.compileAndMatch(b.source, module, 4);
 
     EXPECT_FALSE(report.replacements.empty());
-    // The rewriting stage ran serially after the join and the module
-    // is still valid IR.
+    // The rewriting stage ran after the join and the module is still
+    // valid IR.
     EXPECT_TRUE(ir::verifyModule(module).empty());
 }
 
@@ -196,7 +223,7 @@ TEST(DriverParallel, SolverLimitsAreHonored)
     opts.limits.maxAssignments = 1;
     driver::MatchingDriver drv(opts);
     ir::Module module;
-    auto report = drv.compileAndMatchParallel(b.source, module, 4);
+    auto report = drv.compileAndMatch(b.source, module, 4);
     EXPECT_EQ(report.matchCount(), 0u);
 }
 
@@ -204,7 +231,7 @@ TEST(DriverParallel, EmptyModule)
 {
     driver::MatchingDriver drv;
     ir::Module module;
-    auto report = drv.runParallel(module, 4);
+    auto report = drv.matchModule(module, 4);
     EXPECT_EQ(report.matchCount(), 0u);
     EXPECT_TRUE(report.functions.empty());
     EXPECT_EQ(report.totals.assignments, 0u);

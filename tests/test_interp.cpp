@@ -47,6 +47,15 @@ struct IntOpCase
     int64_t (*expected)(int64_t, int64_t);
 };
 
+// Print a case as its expression. GTest's default dumps the struct's
+// bytes, two pointers, so the CTest names discovered from the
+// parameter values would change with every load address.
+void
+PrintTo(const IntOpCase &c, std::ostream *os)
+{
+    *os << c.expr;
+}
+
 class IntOps : public ::testing::TestWithParam<IntOpCase>
 {};
 

@@ -19,6 +19,7 @@
 #include "driver/driver.h"
 #include "driver/match_cache.h"
 #include "frontend/compiler.h"
+#include "frontend/parser.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/service.h"
@@ -221,8 +222,9 @@ TEST(MatchCache, LruEvictionAndCounters)
 TEST(CachedDriver, WarmResubmissionDoesNoSolverWork)
 {
     auto cache = std::make_shared<driver::MatchCache>();
-    driver::MatchingDriver drv;
-    drv.attachCache(cache);
+    driver::DriverOptions opts;
+    opts.cache = cache;
+    driver::MatchingDriver drv(opts);
 
     ir::Module cold;
     auto coldReport = drv.compileAndMatch(clientSource(), cold);
@@ -258,8 +260,9 @@ TEST(CachedDriver, WarmResubmissionDoesNoSolverWork)
 TEST(CachedDriver, EditedResubmissionResolvesOnlyEditedFunctions)
 {
     auto cache = std::make_shared<driver::MatchCache>();
-    driver::MatchingDriver drv;
-    drv.attachCache(cache);
+    driver::DriverOptions opts;
+    opts.cache = cache;
+    driver::MatchingDriver drv(opts);
 
     ir::Module cold;
     drv.compileAndMatch(clientSource(100, 50), cold);
@@ -298,13 +301,13 @@ TEST(CachedDriver, ParallelBatchSharesTheCache)
 
     ir::Module cold;
     frontend::compileMiniCOrDie(clientSource(), cold);
-    auto coldReport = drv.runParallel(cold, 4);
+    auto coldReport = drv.matchModule(cold, 4);
     EXPECT_EQ(coldReport.cacheMisses, 3u);
 
     ir::Module warm;
     frontend::compileMiniCOrDie(clientSource(), warm);
     drv.invalidateAll();
-    auto warmReport = drv.runParallel(warm, 4);
+    auto warmReport = drv.matchModule(warm, 4);
     EXPECT_EQ(warmReport.cacheHits, 3u);
     EXPECT_EQ(warmReport.cacheMisses, 0u);
     EXPECT_EQ(fingerprints(warmReport.allMatches()),
@@ -317,8 +320,9 @@ TEST(CachedDriver, EvictionForcesResolve)
     const std::string srcB = clientSource(200, 60);
 
     auto cache = std::make_shared<driver::MatchCache>(3);
-    driver::MatchingDriver drv;
-    drv.attachCache(cache);
+    driver::DriverOptions opts;
+    opts.cache = cache;
+    driver::MatchingDriver drv(opts);
 
     // Fill the three-entry cache with module A, then push module B
     // through. B's reduce and histo differ (fresh inserts, each
@@ -351,8 +355,9 @@ TEST(CachedDriver, EvictionForcesResolve)
 TEST(CachedDriver, CollidingEntryWithDifferentShapeIsNotReplayed)
 {
     auto cache = std::make_shared<driver::MatchCache>();
-    driver::MatchingDriver drv;
-    drv.attachCache(cache);
+    driver::DriverOptions opts;
+    opts.cache = cache;
+    driver::MatchingDriver drv(opts);
 
     ir::Module cold;
     auto coldReport = drv.compileAndMatch(clientSource(), cold);
@@ -378,20 +383,6 @@ TEST(CachedDriver, CollidingEntryWithDifferentShapeIsNotReplayed)
     EXPECT_EQ(warmReport.cacheMisses, 3u);
     for (const auto &fr : warmReport.functions)
         EXPECT_FALSE(fr.fromCache) << fr.function->name();
-}
-
-TEST(CachedDriver, EpochsAreGloballyUniqueAcrossDrivers)
-{
-    // Regression: epochs used to be per-driver counters from 0, so
-    // two drivers sharing one MatchCache could sit at the same epoch
-    // — a recycled function address in driver B then revived analyses
-    // whose module driver A had already destroyed (use-after-free).
-    driver::MatchingDriver a, b;
-    EXPECT_NE(a.epoch(), b.epoch());
-    const uint64_t prev = a.epoch();
-    a.invalidateAll();
-    EXPECT_NE(a.epoch(), prev);
-    EXPECT_NE(a.epoch(), b.epoch());
 }
 
 // -------------------------------------------------- service sessions
@@ -606,6 +597,136 @@ class UnixClient
 };
 
 } // namespace
+
+// ------------------------------------------------------ deep nesting
+
+namespace {
+
+std::string
+repeated(const std::string &piece, int times)
+{
+    std::string out;
+    for (int i = 0; i < times; ++i)
+        out += piece;
+    return out;
+}
+
+/**
+ * `return ((...(1)...));` with @p parens parentheses: the return
+ * statement and its expression take two nesting levels, each
+ * parenthesis one more.
+ */
+std::string
+nestedParens(int parens)
+{
+    return "int f() { return " + repeated("(", parens) + "1" +
+           repeated(")", parens) + "; }\n";
+}
+
+/**
+ * @p levels nested `if (x) {`: each level takes two nesting levels
+ * (the if and its block), the innermost `x;` two more.
+ */
+std::string
+nestedIfs(int levels)
+{
+    return "int f(int x) {\n" + repeated("if (x) {\n", levels) +
+           "x;\n" + repeated("}\n", levels) + "return x;\n}\n";
+}
+
+/** `return a + a + ... + 1;`, a left-leaning tree @p terms deep. */
+std::string
+longSum(int terms)
+{
+    return "int f(int a) { return " + repeated("a + ", terms) + "1; }\n";
+}
+
+std::string
+countedSubmit(const std::string &module, const std::string &source)
+{
+    return "SUBMIT " + module + " " + std::to_string(source.size()) +
+           "\n" + source;
+}
+
+const std::string kNestingError =
+    "nesting deeper than the limit of " +
+    std::to_string(frontend::kMaxNestingDepth) + " levels";
+
+} // namespace
+
+TEST(Nesting, DeepSubmitsAreRejectedAndTheStreamSurvives)
+{
+    // Each used to overflow the stack — the first two in the
+    // recursive-descent parser, the third while walking its deep
+    // expression tree — and kill the daemon with SIGSEGV.
+    const std::string parens = nestedParens(100000);
+    const std::string ifs = nestedIfs(20000);
+    const std::string sum = longSum(100000);
+
+    service::MatchService svc;
+    for (const std::string *source : {&parens, &ifs, &sum}) {
+        auto outcome = svc.submit("deep", *source);
+        EXPECT_FALSE(outcome.ok);
+        EXPECT_NE(outcome.error.find(kNestingError), std::string::npos)
+            << outcome.error;
+    }
+    EXPECT_EQ(svc.sessionCount(), 0u);
+
+    std::istringstream in(countedSubmit("deep", parens) +
+                          countedSubmit("deep", ifs) +
+                          countedSubmit("fine", clientSource()) +
+                          "QUIT\n");
+    std::ostringstream out;
+    EXPECT_EQ(service::runRepl(svc, in, out), 4u);
+    const std::string transcript = out.str();
+    const size_t firstErr = transcript.find("ERR ");
+    ASSERT_NE(firstErr, std::string::npos);
+    EXPECT_NE(transcript.find(kNestingError), std::string::npos);
+    const size_t secondErr = transcript.find("ERR ", firstErr + 1);
+    ASSERT_NE(secondErr, std::string::npos);
+    EXPECT_NE(transcript.find(kNestingError, secondErr),
+              std::string::npos);
+    EXPECT_GT(transcript.find("OK module=fine"), secondErr);
+    EXPECT_NE(transcript.find("OK bye"), std::string::npos);
+}
+
+TEST(Nesting, ProgramsAtTheLimitCompileOnAConnectionThread)
+{
+    const int limit = frontend::kMaxNestingDepth;
+    ASSERT_EQ(limit % 2, 0);
+    const std::string parensAtLimit = nestedParens(limit - 2);
+    const std::string ifsAtLimit = nestedIfs((limit - 2) / 2);
+
+    // One level deeper is rejected.
+    service::MatchService svc;
+    EXPECT_FALSE(svc.submit("over", nestedParens(limit - 1)).ok);
+    EXPECT_FALSE(svc.submit("over", nestedIfs(limit / 2)).ok);
+
+    // At the limit both compile and match, on the server's
+    // per-connection thread rather than the test's main thread.
+    const std::string path = "/tmp/repro_nesting_test_" +
+                             std::to_string(::getpid()) + ".sock";
+    service::ServerOptions opts;
+    opts.unixPath = path;
+    service::SocketServer server(svc, opts);
+    server.start();
+    {
+        UnixClient client(path);
+        ASSERT_TRUE(client.connected());
+        client.send(countedSubmit("parens", parensAtLimit) +
+                    countedSubmit("ifs", ifsAtLimit) + "QUIT\n");
+        const std::string transcript = client.drain();
+        EXPECT_NE(transcript.find("OK module=parens functions=1"),
+                  std::string::npos)
+            << transcript.substr(0, 200);
+        EXPECT_NE(transcript.find("OK module=ifs functions=1"),
+                  std::string::npos)
+            << transcript.substr(0, 200);
+        EXPECT_EQ(transcript.find("ERR"), std::string::npos);
+    }
+    server.stop();
+    EXPECT_EQ(svc.sessionCount(), 2u);
+}
 
 TEST(SocketServer, UnixSocketEditSessionRoundTrip)
 {

@@ -697,16 +697,17 @@ TEST(Degradation, DegradedResultsAreNotCachedWarmResubmitResolves)
 TEST(Degradation, BudgetExhaustionMidBatchDoesNotPoisonTheCache)
 {
     auto cache = std::make_shared<driver::MatchCache>();
-    driver::MatchingDriver drv;
-    drv.attachCache(cache);
+    driver::DriverOptions opts;
+    opts.cache = cache;
+    driver::MatchingDriver drv(opts);
 
     // Starve the solver: whatever completes may be cached, whatever
     // degrades must not be.
-    solver::SolverLimits tiny;
-    tiny.maxAssignments = 1;
-    drv.setSolverLimits(tiny);
+    driver::DriverOptions tiny = opts;
+    tiny.limits.maxAssignments = 1;
+    driver::MatchingDriver starvedDrv(tiny);
     ir::Module starved;
-    auto degraded = drv.compileAndMatch(clientSource(), starved);
+    auto degraded = starvedDrv.compileAndMatch(clientSource(), starved);
     EXPECT_EQ(degraded.status, solver::SolveStatus::BudgetExhausted);
     std::vector<std::string> starvedFuncs;
     for (const auto &fr : degraded.functions) {
@@ -717,7 +718,6 @@ TEST(Degradation, BudgetExhaustionMidBatchDoesNotPoisonTheCache)
 
     // Full-budget resubmission: every starved function re-solves
     // (no poisoned replay) and the batch matches a fresh reference.
-    drv.setSolverLimits(solver::SolverLimits{});
     ir::Module warm;
     auto recovered = drv.compileAndMatch(clientSource(), warm);
     EXPECT_EQ(recovered.status, solver::SolveStatus::Complete);
@@ -747,8 +747,9 @@ TEST(Degradation, BatchWithoutDeadlineIsByteIdenticalToBaseline)
     // The no-deadline solve path must do byte-identical work with
     // the deadline machinery compiled in: equal stats against a
     // plain driver proves the probes touch nothing when unarmed.
-    driver::MatchingDriver a, b;
-    b.setSolverLimits(solver::SolverLimits{}); // explicit default
+    driver::DriverOptions explicitDefault;
+    explicitDefault.limits = solver::SolverLimits{};
+    driver::MatchingDriver a, b(explicitDefault);
     ir::Module ma, mb;
     auto ra = a.compileAndMatch(clientSource(), ma);
     auto rb = b.compileAndMatch(clientSource(), mb);
