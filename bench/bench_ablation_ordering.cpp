@@ -7,6 +7,7 @@
  * conjunction destroys that property and the solver falls back to
  * goal rotation and wide enumeration.
  */
+#include <chrono>
 #include <cstdio>
 #include <functional>
 
@@ -37,13 +38,19 @@ struct Run
     size_t solutions;
 };
 
+/** Solve @p prog with @p fa's analyses already built, so the time
+ *  is the search alone. */
 Run
-solveWith(driver::MatchingDriver &drv, ir::Function *func,
+solveWith(analysis::FunctionAnalyses &fa,
           const solver::ConstraintProgram &prog)
 {
-    auto outcome = drv.solveProgram(func, prog);
-    return {outcome.stats.assignments, outcome.solveMillis,
-            outcome.solutions.size()};
+    solver::Solver solver(fa.function(), fa);
+    auto t0 = std::chrono::steady_clock::now();
+    size_t solutions = solver.solveAll(prog).size();
+    auto dt = std::chrono::steady_clock::now() - t0;
+    return {solver.stats().assignments,
+            std::chrono::duration<double, std::milli>(dt).count(),
+            solutions};
 }
 
 } // namespace
@@ -66,17 +73,20 @@ main()
         const auto &b = benchmarks::benchmarkByName(c.bench);
         ir::Module module;
         frontend::compileMiniCOrDie(b.source, module);
-        ir::Function *func = module.functionByName(b.entry);
-        driver::MatchingDriver drv;
+        analysis::FunctionAnalyses fa(module.functionByName(b.entry));
+        fa.domTree();
+        fa.postDomTree();
+        fa.cfg();
+        fa.loopInfo();
 
         auto ordered =
             idl::lowerIdiom(idioms::idiomLibrary(), c.idiom);
-        Run r1 = solveWith(drv, func, ordered);
+        Run r1 = solveWith(fa, ordered);
 
         auto reversed =
             idl::lowerIdiom(idioms::idiomLibrary(), c.idiom);
         reverseConjunctions(*reversed.root);
-        Run r2 = solveWith(drv, func, reversed);
+        Run r2 = solveWith(fa, reversed);
 
         if (r1.solutions != r2.solutions) {
             std::printf("WARNING: solution count differs (%zu vs "

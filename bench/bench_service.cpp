@@ -267,7 +267,7 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    const auto restartCounters = restarted.cacheCounters();
+    const auto restartCounters = restarted.cache().counters();
     const double restartHitRate =
         restartCounters.hits + restartCounters.misses > 0
             ? static_cast<double>(restartCounters.hits) /
@@ -276,7 +276,7 @@ main(int argc, char **argv)
             : 0.0;
     const double restartP50 = percentile(restartMs, 0.50);
 
-    const auto counters = svc.cacheCounters();
+    const auto counters = svc.cache().counters();
     const double hitRate =
         counters.hits + counters.misses > 0
             ? static_cast<double>(counters.hits) /

@@ -2,11 +2,11 @@
  * @file
  * google-benchmark microbenchmarks for the constraint solver
  * (section 4.4: "the overhead is modest"): detection cost for the
- * factorization example, GEMM, SPMV and full-suite scans. All paths
- * go through the MatchingDriver so the measured pipeline is the same
- * one the table/figure binaries use. The *Cached variants reuse one
- * driver (warm per-function analyses) against the cold path that
- * rebuilds dominators/loops every iteration.
+ * factorization example, GEMM, SPMV and full-suite scans. Single
+ * idioms are solved through IdiomDetector::detectOne; the *Cached
+ * variants hold one FunctionAnalyses across iterations (warm
+ * analyses) against the cold path that rebuilds dominators/loops
+ * every iteration.
  *
  * Before the microbenchmarks run, main() takes one canonical
  * measurement of the Table 1 matching workload — per-suite wall time
@@ -59,8 +59,9 @@ BM_DetectFactorization(benchmark::State &state)
         syntheticSource(static_cast<int>(state.range(0))), module);
     ir::Function *func = module.functionByName("f");
     for (auto _ : state) {
-        driver::MatchingDriver drv;
-        auto matches = drv.matchOne(func, "FactorizationOpportunity");
+        idioms::IdiomDetector detector;
+        auto matches =
+            detector.detectOne(func, "FactorizationOpportunity");
         benchmark::DoNotOptimize(matches);
     }
     state.SetComplexityN(state.range(0));
@@ -75,8 +76,8 @@ BM_DetectIdiom(benchmark::State &state, const char *bench_name,
     frontend::compileMiniCOrDie(b.source, module);
     ir::Function *func = module.functionByName(b.entry);
     for (auto _ : state) {
-        driver::MatchingDriver drv;
-        auto matches = drv.matchOne(func, idiom);
+        idioms::IdiomDetector detector;
+        auto matches = detector.detectOne(func, idiom);
         benchmark::DoNotOptimize(matches);
     }
 }
@@ -90,9 +91,10 @@ BM_DetectIdiomCached(benchmark::State &state, const char *bench_name,
     ir::Module module;
     frontend::compileMiniCOrDie(b.source, module);
     ir::Function *func = module.functionByName(b.entry);
-    driver::MatchingDriver drv;
+    analysis::FunctionAnalyses fa(func);
     for (auto _ : state) {
-        auto matches = drv.matchOne(func, idiom);
+        idioms::IdiomDetector detector;
+        auto matches = detector.detectOne(func, idiom, fa);
         benchmark::DoNotOptimize(matches);
     }
 }

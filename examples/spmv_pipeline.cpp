@@ -13,7 +13,7 @@
 #include "interp/interpreter.h"
 #include "ir/printer.h"
 #include "transform/binder.h"
-#include "transform/transform.h"
+#include "transform/rewrite.h"
 
 using namespace repro;
 using interp::RuntimeValue;
@@ -61,8 +61,8 @@ runProgram(bool transformed)
             std::printf("  %-24s -> %s\n", var,
                         v ? v->handle().c_str() : "(unbound)");
         }
-        transform::Transformer transformer(module);
-        replacements = transformer.applyAll(matches);
+        transform::RewriteEngine engine(module);
+        replacements = engine.applyAll(matches);
         std::printf("\n=== Transformed IR (Figure 6's call) ===\n%s\n",
                     ir::printFunction(func).c_str());
     }

@@ -84,17 +84,6 @@ class FunctionAnalyses
     bool hasMemoryDependenceEdge(const Instruction *a,
                                  const Instruction *b);
 
-    /** Invalidate after the function is mutated. */
-    void
-    invalidate()
-    {
-        dom_.reset();
-        postDom_.reset();
-        cfg_.reset();
-        loops_.reset();
-        candidates_.reset();
-    }
-
   private:
     Function *func_;
     std::unique_ptr<DomTree> dom_;

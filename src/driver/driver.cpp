@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <exception>
 #include <mutex>
@@ -10,10 +9,12 @@
 #include <thread>
 
 #include "analysis/dominators.h"
+#include "analysis/function_analyses.h"
 #include "analysis/loops.h"
 #include "frontend/compiler.h"
 #include "interp/builtins.h"
 #include "transform/binder.h"
+#include "transform/rewrite.h"
 
 namespace repro::driver {
 
@@ -119,9 +120,6 @@ MatchReport
 MatchingDriver::compileAndMatch(const std::string &source,
                                 ir::Module &module, unsigned numThreads)
 {
-    // A new module: analyses cached for any earlier module are stale
-    // (its functions may even share recycled addresses).
-    invalidateAll();
     frontend::compileMiniCOrDie(source, module, opts_.verify);
     return matchModule(module, numThreads);
 }
@@ -158,8 +156,8 @@ MatchingDriver::matchShards(
             }
         }
         // Shard-owned analyses (each function is exactly one shard):
-        // no sharing with other workers or with the driver's
-        // analysis cache_, hence no locks on the matching hot path.
+        // no sharing with other workers, hence no locks on the
+        // matching hot path.
         analysis::FunctionAnalyses fa(func);
         idioms::IdiomDetector detector(opts_.limits);
         fr.matches = detector.detect(func, fa);
@@ -202,7 +200,7 @@ MatchingDriver::runParallelBatch(
             items.emplace_back(fr.function, &fr);
     }
 
-    accumulate(matchShards(items, numThreads));
+    totals_ += matchShards(items, numThreads);
 
     for (size_t m = 0; m < modules.size(); ++m) {
         for (const auto &fr : reports[m].functions) {
@@ -228,9 +226,6 @@ MatchingDriver::runParallelBatch(
             applyAllParallel(modules, matches, numThreads);
         for (size_t m = 0; m < modules.size(); ++m)
             reports[m].replacements = std::move(replacements[m]);
-        // The transformation stage rewrites matched functions; any
-        // analyses the driver's cache holds are suspect now.
-        invalidateAll();
     }
     return reports;
 }
@@ -248,13 +243,10 @@ MatchingDriver::applyAllParallel(
     std::vector<std::vector<transform::Replacement>> out(
         modules.size());
     unsigned threads = resolveThreads(numThreads, modules.size());
-    transform::BackendConfig config;
-    config.policy = opts_.backendPolicy;
-    config.forced = opts_.forcedBackends;
     runSharded(modules.size(), threads, [&](size_t i, unsigned) {
-        transform::Transformer transformer(*modules[i], opts_.verify,
-                                           config);
-        out[i] = transformer.applyAll(matches[i]);
+        transform::RewriteEngine engine(*modules[i], opts_.verify,
+                                        opts_.backends);
+        out[i] = engine.applyAll(matches[i]);
     });
     return out;
 }
@@ -471,79 +463,6 @@ MatchingDriver::verifyTransforms(unsigned numThreads) const
     return out;
 }
 
-std::vector<idioms::IdiomMatch>
-MatchingDriver::matchFunction(ir::Function *func)
-{
-    idioms::IdiomDetector detector(opts_.limits);
-    auto matches = detector.detect(func, analysesFor(func));
-    accumulate(detector.stats());
-    return matches;
-}
-
-std::vector<idioms::IdiomMatch>
-MatchingDriver::matchOne(ir::Function *func, const std::string &idiom)
-{
-    idioms::IdiomDetector detector(opts_.limits);
-    auto matches = detector.detectOne(func, idiom, analysesFor(func));
-    accumulate(detector.stats());
-    return matches;
-}
-
-SolveOutcome
-MatchingDriver::solveProgram(ir::Function *func,
-                             const solver::ConstraintProgram &program)
-{
-    analysis::FunctionAnalyses &fa = analysesFor(func);
-    // Build the lazy analyses up front so solveMillis measures the
-    // search alone, cold or warm cache alike.
-    fa.domTree();
-    fa.postDomTree();
-    fa.cfg();
-    fa.loopInfo();
-    solver::Solver solver(func, fa);
-    SolveOutcome outcome;
-    auto t0 = std::chrono::steady_clock::now();
-    outcome.solutions = solver.solveAll(program, opts_.limits);
-    auto dt = std::chrono::steady_clock::now() - t0;
-    outcome.solveMillis =
-        std::chrono::duration<double, std::milli>(dt).count();
-    outcome.stats = solver.stats();
-    accumulate(outcome.stats);
-    return outcome;
-}
-
-analysis::FunctionAnalyses &
-MatchingDriver::analysesFor(ir::Function *func)
-{
-    if (func->parentModule() != module_) {
-        invalidateAll();
-        module_ = func->parentModule();
-    }
-    // Content-hash guard: a slot built for an earlier shape of this
-    // function (mutated in place, or rewritten by a pass that forgot
-    // to invalidate) must never serve stale dominators/loops/indices.
-    const uint64_t hash = func->contentHash();
-    auto &slot = cache_[func];
-    if (slot.analyses && slot.hash == hash)
-        return *slot.analyses;
-    slot.hash = hash;
-    slot.analyses = std::make_shared<analysis::FunctionAnalyses>(func);
-    return *slot.analyses;
-}
-
-void
-MatchingDriver::invalidate(ir::Function *func)
-{
-    cache_.erase(func);
-}
-
-void
-MatchingDriver::invalidateAll()
-{
-    cache_.clear();
-    module_ = nullptr;
-}
-
 bool
 MatchingDriver::tryReplay(ir::Function *func, FunctionReport *fr)
 {
@@ -583,12 +502,6 @@ MatchingDriver::storeSolveResult(ir::Function *func,
     opts_.cache->insert(CacheKey{fr.contentHash,
                                  idioms::idiomSetHash()},
                         std::move(entry));
-}
-
-void
-MatchingDriver::accumulate(const solver::SolveStats &delta)
-{
-    totals_ += delta;
 }
 
 } // namespace repro::driver

@@ -7,11 +7,11 @@
  * idiom library's constraint solver over every function, and
  * optionally apply the idiom-to-API transformations. The
  * MatchingDriver packages that pipeline behind one entry point,
- * caching the per-function analyses (dominators, loops, CFG,
- * candidate indices) so a batch over N idioms builds them once per
- * function instead of once per (function, idiom) pair, and
- * aggregating SolveStats so callers get the paper's search-effort
- * numbers without threading counters through their own loops.
+ * building each function's analyses (dominators, loops, CFG,
+ * candidate indices) once for all N idioms instead of once per
+ * (function, idiom) pair, and aggregating SolveStats so callers get
+ * the paper's search-effort numbers without threading counters
+ * through their own loops.
  *
  * Matching is embarrassingly parallel across functions: solving
  * writes nothing outside per-function state (analyses, candidate
@@ -27,12 +27,10 @@
 #define DRIVER_DRIVER_H
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "analysis/function_analyses.h"
 #include "benchmarks/suite.h"
 #include "driver/match_cache.h"
 #include "idioms/library.h"
@@ -73,21 +71,16 @@ struct DriverOptions
     ir::VerifyMode verify = ir::defaultVerifyMode();
     /**
      * How the transform stage picks each replacement's backend
-     * (transform/transform.h). Fixed — the default — lowers every
+     * (transform/transform.h). The default Fixed policy lowers every
      * idiom class to its historical host target, keeping Table 1
      * counts and every byte-parity test unchanged; CostModel ranks
      * all legal (API, platform) lowerings by the cost model
      * (runtime/cost.h) against the call site's static trip-count
-     * workload estimate and commits the cheapest.
+     * workload estimate and commits the cheapest. `forced` overrides
+     * the policy per replacement kind — the differential sweep's way
+     * of driving each legal alternative through the pipeline.
      */
-    transform::BackendPolicy backendPolicy =
-        transform::BackendPolicy::Fixed;
-    /**
-     * Force the backend of every replacement of a given kind ("gemm",
-     * "spmv", ...), overriding the policy — the differential sweep's
-     * way of driving each legal alternative through the pipeline.
-     */
-    std::map<std::string, runtime::BackendTarget> forcedBackends;
+    transform::BackendConfig backends;
 };
 
 /** Matches and solver effort of one function. */
@@ -184,31 +177,12 @@ struct TransformVerification
     bool ok() const { return error.empty(); }
 };
 
-/** Raw solve of one lowered constraint program (ablation studies). */
-struct SolveOutcome
-{
-    std::vector<solver::Solution> solutions;
-    solver::SolveStats stats;
-    /** Wall-clock of the search itself, excluding solver setup. */
-    double solveMillis = 0.0;
-};
-
 /**
- * The matching pipeline. One driver instance owns a per-function
- * analysis cache serving matchFunction, matchOne and solveProgram
- * (the module-level match loop gives every shard its own analyses);
- * reusing the instance across those calls reuses the analyses as long
- * as the underlying functions are not mutated. Entries are guarded by
- * the function's contentHash(): a mutated (or recompiled-in-place)
- * function is detected on the next analysesFor and its stale
- * dominators/loops/CandidateIndex are rebuilt instead of served.
- *
- * The analysis cache holds raw pointers into one module.
- * compileAndMatch starts by dropping it, and analysesFor drops it
- * when handed a function of a different live module; but
- * when a module is destroyed and the driver then matches functions of
- * a NEW module, call invalidateAll() first — address recycling can
- * defeat the pointer-identity guard.
+ * The matching pipeline. The driver keeps no per-function state: the
+ * match loop gives every shard its own analyses, so one instance may
+ * match any sequence of modules. Callers that solve a single function
+ * (one idiom, or an ad-hoc constraint program) use
+ * idioms::IdiomDetector or solver::Solver directly.
  *
  * With a MatchCache attached (DriverOptions::cache), matchModule and
  * runParallelBatch become incremental across requests: each
@@ -219,9 +193,7 @@ struct SolveOutcome
  * own IR instead of re-solving. Replayed functions contribute their
  * original SolveStats to the report (keeping warm reports
  * byte-identical to cold ones) but not to totals(), which keeps
- * counting real solver effort only. matchFunction/matchOne/
- * solveProgram bypass the cache: their keys (single idiom, ad-hoc
- * program) live outside the full-idiom-set key space.
+ * counting real solver effort only.
  */
 class MatchingDriver
 {
@@ -267,7 +239,7 @@ class MatchingDriver
     /**
      * Parallel transform stage: module @p i becomes one shard on the
      * same work-stealing pool the parallel matcher uses, and a fresh
-     * transactional Transformer applies @p matches[i] to it
+     * transactional RewriteEngine applies @p matches[i] to it
      * (plan → resolve overlaps → validate → commit; see
      * transform/rewrite.h). Modules are fully independent — planning
      * and commit for different modules run concurrently — while
@@ -286,9 +258,9 @@ class MatchingDriver
      * Differentially verify one benchmark program end to end
      * (match -> transform -> bind -> execute); see
      * TransformVerification for the exact contract. Self-contained:
-     * compiles private modules and drivers, never touches this
-     * instance's analysis cache (only the options are read), so it is
-     * safe to call concurrently from many workers.
+     * compiles private modules and drivers and only reads this
+     * instance's options, so it is safe to call concurrently from
+     * many workers.
      *
      * @p tamper, when set, mutates the transformed module after
      * match + rewrite but before any execution. The negative-oracle
@@ -312,35 +284,6 @@ class MatchingDriver
     std::vector<TransformVerification>
     verifyTransforms(unsigned numThreads = 1) const;
 
-    /** Match one function, all top-level idioms, with subsumption. */
-    std::vector<idioms::IdiomMatch> matchFunction(ir::Function *func);
-
-    /** Match one named idiom against one function (no subsumption). */
-    std::vector<idioms::IdiomMatch>
-    matchOne(ir::Function *func, const std::string &idiom);
-
-    /**
-     * Solve an already lowered constraint program against a function,
-     * reusing cached analyses. Used by ablations that perturb the
-     * program before solving.
-     */
-    SolveOutcome solveProgram(ir::Function *func,
-                              const solver::ConstraintProgram &program);
-
-    /**
-     * The cached analyses of @p func (built on first request). The
-     * cache is scoped to one module at a time: requesting a function
-     * of a different module drops all entries, since function
-     * addresses can be recycled across module lifetimes.
-     */
-    analysis::FunctionAnalyses &analysesFor(ir::Function *func);
-
-    /** Drop cached analyses after @p func is mutated. */
-    void invalidate(ir::Function *func);
-
-    /** Drop the entire analysis cache. */
-    void invalidateAll();
-
     /** Solver effort accumulated over the driver's lifetime. Cache
      *  replays do not count: this is real search work only. */
     const solver::SolveStats &totals() const { return totals_; }
@@ -348,8 +291,6 @@ class MatchingDriver
     const DriverOptions &options() const { return opts_; }
 
   private:
-    void accumulate(const solver::SolveStats &delta);
-
     /**
      * Replay @p func's cached solve result into @p fr if the attached
      * cache holds its (contentHash, idiomSetHash) key and the entry
@@ -375,19 +316,8 @@ class MatchingDriver
                                             FunctionReport *>> &items,
                 unsigned numThreads);
 
-    /** One analysis-cache slot, guarded by the content hash it was
-     *  built for. */
-    struct AnalysesSlot
-    {
-        uint64_t hash = 0;
-        std::shared_ptr<analysis::FunctionAnalyses> analyses;
-    };
-
     DriverOptions opts_;
     solver::SolveStats totals_;
-    /** Module the cached analyses belong to. */
-    const ir::Module *module_ = nullptr;
-    std::map<ir::Function *, AnalysesSlot> cache_;
 };
 
 } // namespace repro::driver

@@ -18,7 +18,7 @@
 #include "frontend/compiler.h"
 #include "interp/builtins.h"
 #include "support/diagnostics.h"
-#include "transform/transform.h"
+#include "transform/rewrite.h"
 
 namespace repro::driver {
 
@@ -144,8 +144,8 @@ runHardenCampaign(const benchmarks::BenchmarkProgram &program,
             throw FatalError("harden campaign: no entry function @" +
                              program.entry);
         entry->addAttribute(protectAttributeFor(opts.mode));
-        transform::Transformer transformer(module);
-        auto reps = transformer.applyAll({});
+        transform::RewriteEngine engine(module);
+        auto reps = engine.applyAll({});
         if (reps.size() != 1 || reps[0].kind != "harden") {
             throw FatalError(
                 "harden campaign: hardening did not commit");

@@ -326,16 +326,16 @@ serveConnection(MatchService &service, LineIO &io,
             break;
           }
           case Request::Verb::Stats:
-            io.write(formatStats(service.cacheCounters(),
-                                 service.cacheSize(),
-                                 service.cacheCapacity(),
+            io.write(formatStats(service.cache().counters(),
+                                 service.cache().size(),
+                                 service.cache().capacity(),
                                  service.sessionCount()) +
                      "\n");
             break;
           case Request::Verb::Capacity:
-            service.setCacheCapacity(request.capacity);
+            service.cache().setCapacity(request.capacity);
             io.write("OK capacity=" +
-                     std::to_string(service.cacheCapacity()) + "\n");
+                     std::to_string(service.cache().capacity()) + "\n");
             break;
           case Request::Verb::Drop:
             io.write(std::string("OK dropped=") +

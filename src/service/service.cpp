@@ -38,11 +38,11 @@ MatchService::submit(const std::string &moduleName,
 
     // Compile into a fresh module first: a failed submission must
     // leave the previous session fully intact.
-    auto module = std::make_unique<ir::Module>();
-    module->setName(moduleName);
+    ir::Module module;
+    module.setName(moduleName);
     auto t0 = std::chrono::steady_clock::now();
     DiagEngine diags;
-    if (!frontend::compileMiniC(source, *module, diags)) {
+    if (!frontend::compileMiniC(source, module, diags)) {
         outcome.error = diags.all().empty()
                             ? std::string("compilation failed")
                             : diags.all().front().str();
@@ -53,7 +53,7 @@ MatchService::submit(const std::string &moduleName,
     // (cached entries outlive the module that deposited them). The
     // rejection is structured — the wire error carries the verifier's
     // rule id and location, not a blurred "bad module".
-    ir::VerifierReport vr = ir::verifyModuleDetailed(*module);
+    ir::VerifierReport vr = ir::verifyModuleDetailed(module);
     if (vr.errorCount() != 0) {
         outcome.error = "invalid-ir " + vr.firstError().str();
         return outcome;
@@ -68,10 +68,10 @@ MatchService::submit(const std::string &moduleName,
         opts_.limits, deadlineMillis != 0 ? deadlineMillis
                                           : opts_.defaultDeadlineMillis);
     driverOpts.cache = cache_;
-    driverOpts.backendPolicy = opts_.backendPolicy;
+    driverOpts.backends.policy = opts_.backendPolicy;
     driver::MatchingDriver driver(driverOpts);
     t0 = std::chrono::steady_clock::now();
-    driver::MatchReport report = driver.matchModule(*module);
+    driver::MatchReport report = driver.matchModule(module);
     outcome.matchMillis = millisSince(t0);
 
     outcome.ok = true;
@@ -91,7 +91,7 @@ MatchService::submit(const std::string &moduleName,
         transform::BackendConfig config;
         config.policy = transform::BackendPolicy::CostModel;
         for (auto &d : transform::planBackendDecisions(
-                 *module, report.allMatches(), config))
+                 module, report.allMatches(), config))
             decisionByIndex.emplace(d.matchIndex, std::move(d));
     }
 
@@ -121,12 +121,8 @@ MatchService::submit(const std::string &moduleName,
         }
     }
 
-    Session &session = sessions_[moduleName];
-    session.source = source;
-    // Destroying the replaced module is safe: the new report holds no
-    // pointers into it.
-    session.module = std::move(module);
-    session.outcome = outcome;
+    // The outcome holds no pointers into the module, which dies here.
+    sessions_[moduleName] = outcome;
     return outcome;
 }
 
@@ -138,7 +134,7 @@ MatchService::lastOutcome(const std::string &moduleName,
     auto it = sessions_.find(moduleName);
     if (it == sessions_.end())
         return false;
-    *out = it->second.outcome;
+    *out = it->second;
     return true;
 }
 
@@ -166,36 +162,6 @@ MatchService::sessionCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return sessions_.size();
-}
-
-driver::CacheCounters
-MatchService::cacheCounters() const
-{
-    return cache_->counters();
-}
-
-size_t
-MatchService::cacheSize() const
-{
-    return cache_->size();
-}
-
-size_t
-MatchService::cacheCapacity() const
-{
-    return cache_->capacity();
-}
-
-void
-MatchService::setCacheCapacity(size_t capacity)
-{
-    cache_->setCapacity(capacity);
-}
-
-uint64_t
-MatchService::idiomSetHash() const
-{
-    return idioms::idiomSetHash();
 }
 
 } // namespace repro::service

@@ -5,13 +5,13 @@
  * The batch pipeline recompiles, re-analyzes and re-solves everything
  * on every invocation; MatchService is the long-lived alternative a
  * daemon fronts. It keeps one session per client module name (the
- * submitted source, its compiled ir::Module, and the last report) and
- * matches every submission with a fresh MatchingDriver attached to
- * the shared MatchCache, so
- * resubmitting an edited module re-solves only the functions whose
- * structural contentHash() changed — every unchanged function replays
- * its cached matches, re-anchored onto the freshly compiled IR (see
- * driver/match_cache.h for the keying and portability story).
+ * outcome of its last successful submission) and matches every
+ * submission with a fresh MatchingDriver attached to the shared
+ * MatchCache, so resubmitting an edited module re-solves only the
+ * functions whose structural contentHash() changed — every unchanged
+ * function replays its cached matches, re-anchored onto the freshly
+ * compiled IR (see driver/match_cache.h for the keying and
+ * portability story).
  *
  * The MatchCache is shared across all sessions: two clients
  * submitting the same kernel body share one entry, regardless of
@@ -154,35 +154,22 @@ class MatchService
 
     size_t sessionCount() const;
 
-    driver::CacheCounters cacheCounters() const;
-    size_t cacheSize() const;
-    size_t cacheCapacity() const;
-    void setCacheCapacity(size_t capacity);
-
-    /** Identity of the idiom set all cache keys embed. */
-    uint64_t idiomSetHash() const;
-
     /**
-     * The shared match cache, for snapshot save/load (see
-     * driver/cache_snapshot.h). The cache is internally synchronized,
-     * so snapshotting while requests run is safe — the writer walks a
-     * shared_ptr view, never the live LRU list.
+     * The shared match cache: its counters, size and capacity, and
+     * snapshot save/load (see driver/cache_snapshot.h). The cache is
+     * internally synchronized, so snapshotting while requests run is
+     * safe — the writer walks a shared_ptr view, never the live LRU
+     * list.
      */
     driver::MatchCache &cache() { return *cache_; }
     const driver::MatchCache &cache() const { return *cache_; }
 
   private:
-    struct Session
-    {
-        std::string source;
-        std::unique_ptr<ir::Module> module;
-        SubmitOutcome outcome;
-    };
-
     mutable std::mutex mutex_;
     ServiceOptions opts_;
     std::shared_ptr<driver::MatchCache> cache_;
-    std::map<std::string, Session> sessions_;
+    /** Last successful outcome per module name. */
+    std::map<std::string, SubmitOutcome> sessions_;
 };
 
 } // namespace repro::service

@@ -21,7 +21,7 @@ namespace repro::transform {
  * extracted IR kernel functions through the interpreter, while
  * library-backed ones (spmv/gemm) run directly over the heap via
  * runtime/sparse.h and runtime/blas.h. Call after
- * transform::Transformer::applyAll and before Interpreter::run.
+ * transform::RewriteEngine::applyAll and before Interpreter::run.
  */
 void bindReplacements(interp::Interpreter &interp,
                       const std::vector<Replacement> &replacements);

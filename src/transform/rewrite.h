@@ -174,7 +174,8 @@ planBackendDecisions(ir::Module &module,
  * Plans, validates and commits idiom replacements over one module.
  * Planning is pure; all mutation happens inside commit(). One engine
  * instance owns the kernel/callee name counter of its module, so use
- * exactly one engine (or one Transformer) per transform pass.
+ * exactly one engine (or one reference Transformer) per transform
+ * pass.
  */
 class RewriteEngine
 {

@@ -6,7 +6,6 @@
 #include "frontend/passes.h"
 #include "transform/extract.h"
 #include "transform/loop_shape.h"
-#include "transform/rewrite.h"
 
 namespace repro::transform {
 
@@ -21,34 +20,6 @@ using ir::Opcode;
 using ir::Type;
 using ir::Value;
 using solver::Solution;
-
-Transformer::Transformer(ir::Module &module, ir::VerifyMode verify,
-                         BackendConfig backends)
-    : module_(module),
-      engine_(std::make_unique<RewriteEngine>(module, verify,
-                                              std::move(backends)))
-{
-}
-
-Transformer::~Transformer() = default;
-
-std::vector<Replacement>
-Transformer::applyAll(const std::vector<idioms::IdiomMatch> &matches)
-{
-    std::vector<Replacement> out = engine_->applyAll(matches);
-    done_.insert(done_.end(), out.begin(), out.end());
-    return out;
-}
-
-std::optional<Replacement>
-Transformer::apply(const idioms::IdiomMatch &match)
-{
-    std::vector<Replacement> out = engine_->applyAll({match});
-    if (out.empty())
-        return std::nullopt;
-    done_.push_back(out.front());
-    return out.front();
-}
 
 // ------------------------------------------------- legacy reference path
 //
@@ -90,7 +61,6 @@ Transformer::applyReference(const idioms::IdiomMatch &match)
     if (result) {
         frontend::removeUnreachableBlocks(match.function);
         frontend::aggressiveDCE(match.function);
-        done_.push_back(*result);
     }
     return result;
 }

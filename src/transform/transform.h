@@ -13,26 +13,22 @@
  * block claims are resolved most-specific-first, every plan is
  * validated against the live IR, and mutation happens in one
  * per-function-atomic commit with cleanup passes run once at the end.
- * The legacy one-match-at-a-time path survives as applyAllReference
- * for differential testing only.
+ * The legacy one-match-at-a-time path survives as
+ * Transformer::applyAllReference for differential testing only.
  */
 #ifndef TRANSFORM_TRANSFORM_H
 #define TRANSFORM_TRANSFORM_H
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "idioms/library.h"
 #include "ir/function.h"
-#include "ir/verifier.h"
 #include "runtime/cost.h"
 
 namespace repro::transform {
-
-class RewriteEngine;
 
 /**
  * How the engine picks the backend of each replacement.
@@ -98,46 +94,23 @@ struct Replacement
 };
 
 /**
- * Applies idiom matches to the module. Replacements that the current
+ * The legacy reference transformer. Replacements that the
  * translation schemes cannot express (e.g. kernels with internal
  * control flow that does not reduce to selects) are skipped — the
- * idiom still counts as detected, it is just not exploited.
- *
- * One Transformer owns one RewriteEngine (and with it the module's
- * kernel/callee name counter): use a fresh instance per transform
- * pass, and do not mix the engine-backed entry points with
- * applyAllReference on the same instance.
+ * idiom still counts as detected, it is just not exploited. Pipelines
+ * apply matches through RewriteEngine::applyAll instead.
  */
 class Transformer
 {
   public:
-    /**
-     * @p verify is forwarded to the engine: with
-     * VerifyMode::Boundaries, every commit and rollback re-verifies
-     * the touched function (see RewriteEngine). The legacy
-     * applyAllReference path ignores it.
-     */
-    explicit Transformer(ir::Module &module,
-                         ir::VerifyMode verify = ir::VerifyMode::Off,
-                         BackendConfig backends = BackendConfig());
-    ~Transformer();
-
-    /** Try to replace one match; nullopt when unsupported. */
-    std::optional<Replacement> apply(const idioms::IdiomMatch &match);
-
-    /**
-     * Apply every match, most specific first: plan all replacements
-     * against the unmutated IR, drop overlapping claims, validate,
-     * then commit atomically per function (see RewriteEngine).
-     */
-    std::vector<Replacement>
-    applyAll(const std::vector<idioms::IdiomMatch> &matches);
+    explicit Transformer(ir::Module &module) : module_(module) {}
 
     /**
      * The legacy pre-engine path (the solveAllReference/runReference
      * pattern): replace matches one at a time, running cleanup passes
      * after every replacement, with no overlap tracking and no
-     * stale-pointer validation. Byte-identical to applyAll on match
+     * stale-pointer validation. Byte-identical to
+     * RewriteEngine::applyAll on match
      * sets where it is well defined — i.e. non-overlapping matches
      * whose solutions stay disjoint from each other's cleanup — and
      * undefined behavior outside that; kept briefly for differential
@@ -145,15 +118,6 @@ class Transformer
      */
     std::vector<Replacement>
     applyAllReference(const std::vector<idioms::IdiomMatch> &matches);
-
-    /** Replacements performed so far. */
-    const std::vector<Replacement> &replacements() const
-    {
-        return done_;
-    }
-
-    /** The engine behind apply/applyAll (stats inspection). */
-    const RewriteEngine &engine() const { return *engine_; }
 
   private:
     /** Legacy per-match scheme bodies (reference path only). */
@@ -171,8 +135,6 @@ class Transformer
     applyStencil(const idioms::IdiomMatch &match, int dims);
 
     ir::Module &module_;
-    std::unique_ptr<RewriteEngine> engine_;
-    std::vector<Replacement> done_;
     /** Name counter of the reference path (the engine has its own). */
     int counter_ = 0;
 };

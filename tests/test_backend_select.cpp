@@ -148,7 +148,7 @@ TEST(BackendPolicy, CostModelFlipsLargeGemmToDgpu)
 {
     driver::DriverOptions opts;
     opts.applyTransforms = true;
-    opts.backendPolicy = transform::BackendPolicy::CostModel;
+    opts.backends.policy = transform::BackendPolicy::CostModel;
     driver::MatchingDriver drv(opts);
     ir::Module module;
     auto report = drv.compileAndMatch(gemmSource(512), module);
@@ -173,7 +173,7 @@ TEST(BackendPolicy, CostModelKeepsSmallGemmOnHost)
 {
     driver::DriverOptions opts;
     opts.applyTransforms = true;
-    opts.backendPolicy = transform::BackendPolicy::CostModel;
+    opts.backends.policy = transform::BackendPolicy::CostModel;
     driver::MatchingDriver drv(opts);
     ir::Module module;
     auto report = drv.compileAndMatch(gemmSource(8), module);
@@ -191,8 +191,8 @@ TEST(BackendPolicy, ForcedBackendOverridesPolicy)
 {
     driver::DriverOptions opts;
     opts.applyTransforms = true;
-    opts.backendPolicy = transform::BackendPolicy::CostModel;
-    opts.forcedBackends["gemm"] =
+    opts.backends.policy = transform::BackendPolicy::CostModel;
+    opts.backends.forced["gemm"] =
         runtime::BackendTarget{runtime::Api::ClBLAS,
                                runtime::Platform::IGPU, 0.0};
     driver::MatchingDriver drv(opts);
@@ -231,7 +231,7 @@ TEST(BackendPolicy, CacheReplayRerunsSelectionUnderCurrentPolicy)
     driver::DriverOptions opts;
     opts.applyTransforms = true;
     opts.cache = cache;
-    opts.backendPolicy = transform::BackendPolicy::CostModel;
+    opts.backends.policy = transform::BackendPolicy::CostModel;
     driver::MatchingDriver costDrv(opts);
     ir::Module module;
     auto report = costDrv.compileAndMatch(source, module);
@@ -250,7 +250,7 @@ TEST(BackendPolicy, CacheReplayRerunsSelectionUnderCurrentPolicy)
 TEST(BackendExecution, ForcedDgpuGemmIsByteIdentical)
 {
     driver::DriverOptions opts;
-    opts.forcedBackends["gemm"] =
+    opts.backends.forced["gemm"] =
         runtime::BackendTarget{runtime::Api::CuBLAS,
                                runtime::Platform::DGPU, 0.0};
     driver::MatchingDriver drv(opts);
@@ -262,7 +262,7 @@ TEST(BackendExecution, ForcedDgpuGemmIsByteIdentical)
 TEST(BackendExecution, ForcedDgpuSpmvIsByteIdentical)
 {
     driver::DriverOptions opts;
-    opts.forcedBackends["spmv"] =
+    opts.backends.forced["spmv"] =
         runtime::BackendTarget{runtime::Api::CuSPARSE,
                                runtime::Platform::DGPU, 0.0};
     driver::MatchingDriver drv(opts);
@@ -277,7 +277,7 @@ TEST(BackendExecution, CostModelSuiteSweepIsByteIdentical)
     // program must still execute byte-identically even when the cost
     // layer re-homes its kernels.
     driver::DriverOptions opts;
-    opts.backendPolicy = transform::BackendPolicy::CostModel;
+    opts.backends.policy = transform::BackendPolicy::CostModel;
     driver::MatchingDriver drv(opts);
     for (const auto &v : drv.verifyTransforms(0)) {
         EXPECT_TRUE(v.ok()) << v.name << ": " << v.error;

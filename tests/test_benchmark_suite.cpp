@@ -6,7 +6,7 @@
 #include "interp/builtins.h"
 #include "ir/verifier.h"
 #include "transform/binder.h"
-#include "transform/transform.h"
+#include "transform/rewrite.h"
 
 using namespace repro;
 using benchmarks::BenchmarkProgram;
@@ -71,8 +71,8 @@ TEST_P(SuiteTest, TransformPreservesSemantics)
         if (transformed) {
             idioms::IdiomDetector det;
             auto matches = det.detectModule(module);
-            transform::Transformer tr(module);
-            reps = tr.applyAll(matches);
+            transform::RewriteEngine engine(module);
+            reps = engine.applyAll(matches);
             auto problems = ir::verifyModule(module);
             ASSERT_TRUE(problems.empty()) << problems.front();
         }

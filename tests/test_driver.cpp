@@ -2,8 +2,8 @@
  * @file
  * Tests of the batched MatchingDriver: end-to-end pipeline over the
  * quickstart / GEMM / SPMV sources, aggregate statistics, and the
- * guarantee that the per-function analysis cache produces matches
- * identical to stand-alone per-function solving.
+ * guarantee that the batched match loop produces matches identical to
+ * stand-alone per-function solving.
  */
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "frontend/compiler.h"
 #include "idl/lower.h"
 #include "ir/verifier.h"
-#include "transform/transform.h"
 
 using namespace repro;
 
@@ -39,16 +38,16 @@ matchKeys(const std::vector<idioms::IdiomMatch> &matches)
 
 TEST(Driver, QuickstartFactorization)
 {
-    driver::MatchingDriver drv;
     ir::Module module;
     frontend::compileMiniCOrDie(kQuickstartSource, module);
     ir::Function *func = module.functionByName("example");
 
-    auto matches = drv.matchOne(func, "FactorizationOpportunity");
+    idioms::IdiomDetector detector;
+    auto matches = detector.detectOne(func, "FactorizationOpportunity");
     ASSERT_EQ(matches.size(), 1u);
     EXPECT_EQ(matches[0].solution.lookup("factor")->handle(), "%a");
-    EXPECT_GT(drv.totals().assignments, 0u);
-    EXPECT_GT(drv.totals().checks, 0u);
+    EXPECT_GT(detector.stats().assignments, 0u);
+    EXPECT_GT(detector.stats().checks, 0u);
 }
 
 TEST(Driver, BatchStatsPopulated)
@@ -79,8 +78,8 @@ TEST(Driver, BatchStatsPopulated)
 TEST(Driver, CachedAnalysesMatchPerFunctionSolving)
 {
     // GEMM (sgemm), SPMV (CG) and the stencil benchmark: the batched
-    // driver with its analysis cache must produce byte-identical
-    // match sets to fresh per-function detection.
+    // driver must produce byte-identical match sets to fresh
+    // per-function detection.
     for (const char *name : {"sgemm", "CG", "stencil"}) {
         const auto &b = benchmarks::benchmarkByName(name);
         driver::MatchingDriver drv;
@@ -103,44 +102,18 @@ TEST(Driver, CachedAnalysesMatchPerFunctionSolving)
     }
 }
 
-TEST(Driver, AnalysesAreCachedPerFunction)
+TEST(Driver, SolverSolvesLoweredProgram)
 {
-    const auto &b = benchmarks::benchmarkByName("sgemm");
-    driver::MatchingDriver drv;
-    ir::Module module;
-    frontend::compileMiniCOrDie(b.source, module);
-    ir::Function *func = module.functionByName(b.entry);
-
-    analysis::FunctionAnalyses &first = drv.analysesFor(func);
-    analysis::FunctionAnalyses &second = drv.analysesFor(func);
-    EXPECT_EQ(&first, &second);
-
-    // Matching twice through the driver reuses the cache and still
-    // yields the same matches.
-    auto once = drv.matchFunction(func);
-    auto twice = drv.matchFunction(func);
-    EXPECT_EQ(matchKeys(once), matchKeys(twice));
-
-    drv.invalidate(func);
-    analysis::FunctionAnalyses &rebuilt = drv.analysesFor(func);
-    auto after = matchKeys(drv.matchFunction(func));
-    EXPECT_EQ(matchKeys(once), after);
-    (void)rebuilt;
-}
-
-TEST(Driver, SolveProgramUsesCachedAnalyses)
-{
-    driver::MatchingDriver drv;
     ir::Module module;
     frontend::compileMiniCOrDie(kQuickstartSource, module);
     ir::Function *func = module.functionByName("example");
 
     auto lowered = idl::lowerIdiom(idioms::idiomLibrary(),
                                    "FactorizationOpportunity");
-    auto outcome = drv.solveProgram(func, lowered);
-    EXPECT_EQ(outcome.solutions.size(), 1u);
-    EXPECT_GT(outcome.stats.assignments, 0u);
-    EXPECT_EQ(drv.totals().assignments, outcome.stats.assignments);
+    analysis::FunctionAnalyses fa(func);
+    solver::Solver solver(func, fa);
+    EXPECT_EQ(solver.solveAll(lowered).size(), 1u);
+    EXPECT_GT(solver.stats().assignments, 0u);
 }
 
 TEST(Driver, TransformStageRewritesModule)
@@ -159,9 +132,9 @@ TEST(Driver, TransformStageRewritesModule)
 
 TEST(Driver, CacheIsScopedPerModule)
 {
-    // One driver reused across module lifetimes must not serve
-    // analyses built for a destroyed module's functions (addresses
-    // can be recycled).
+    // One driver reused across module lifetimes (function addresses
+    // can be recycled) keeps no per-function state, so the second
+    // module matches exactly like the first.
     const auto &b = benchmarks::benchmarkByName("sgemm");
     driver::MatchingDriver drv;
     std::vector<std::string> first;
@@ -174,61 +147,6 @@ TEST(Driver, CacheIsScopedPerModule)
     auto second =
         matchKeys(drv.compileAndMatch(b.source, moduleB).allMatches());
     EXPECT_EQ(first, second);
-}
-
-TEST(Driver, AnalysesRebuiltAfterInPlaceMutation)
-{
-    // The analysis cache is guarded by the function's contentHash():
-    // mutating a function in place (here: the transform stage
-    // replacing its GEMM nest with an API call) must make the next
-    // analysesFor rebuild instead of serving stale dominators, loops
-    // and candidate indices — with no invalidate() call in between.
-    const auto &b = benchmarks::benchmarkByName("sgemm");
-    driver::MatchingDriver drv;
-    ir::Module module;
-    auto report = drv.compileAndMatch(b.source, module);
-    ir::Function *func = module.functionByName(b.entry);
-    ASSERT_NE(func, nullptr);
-
-    const uint64_t hashBefore = func->contentHash();
-    analysis::FunctionAnalyses &before = drv.analysesFor(func);
-    const size_t loopsBefore = before.loopInfo().loops().size();
-    const size_t valuesBefore =
-        before.candidateIndex().universe().size();
-    ASSERT_GT(loopsBefore, 0u);
-
-    transform::Transformer transformer(module);
-    auto replacements = transformer.applyAll(report.allMatches());
-    ASSERT_FALSE(replacements.empty());
-    ASSERT_TRUE(ir::verifyModule(module).empty());
-    ASSERT_NE(func->contentHash(), hashBefore);
-
-    analysis::FunctionAnalyses &after = drv.analysesFor(func);
-    const size_t loopsAfter = after.loopInfo().loops().size();
-    const size_t valuesAfter =
-        after.candidateIndex().universe().size();
-    // Replacing the loop nest with a call removes loops and shrinks
-    // the value universe; stale analyses would report the old counts.
-    EXPECT_LT(loopsAfter, loopsBefore);
-    EXPECT_LT(valuesAfter, valuesBefore);
-
-    // And the fresh analyses are themselves cached again.
-    EXPECT_EQ(&after, &drv.analysesFor(func));
-}
-
-TEST(Driver, AnalysesStableWhileFunctionUnchanged)
-{
-    // The hash guard must not cause spurious rebuilds: repeated
-    // analysesFor on an untouched function returns the same object.
-    const auto &b = benchmarks::benchmarkByName("sgemm");
-    driver::MatchingDriver drv;
-    ir::Module module;
-    frontend::compileMiniCOrDie(b.source, module);
-    ir::Function *func = module.functionByName(b.entry);
-
-    analysis::FunctionAnalyses &first = drv.analysesFor(func);
-    for (int i = 0; i < 3; ++i)
-        EXPECT_EQ(&first, &drv.analysesFor(func));
 }
 
 TEST(Driver, SolverLimitsAreHonored)

@@ -4,8 +4,7 @@
  * behind matchModule / runParallelBatch): for any thread count it
  * must produce match sets, per-function stats and aggregated totals
  * byte-identical to an independent serial oracle — a per-function
- * matchFunction loop, which solves through the driver's analysis
- * cache and IdiomDetector and never enters the shard engine — on the
+ * IdiomDetector loop, which never enters the shard engine — on the
  * example modules and on synthetic many-function modules.
  */
 #include <gtest/gtest.h>
@@ -39,8 +38,8 @@ expectSameStats(const solver::SolveStats &a, const solver::SolveStats &b)
 }
 
 /**
- * The serial oracle: a fresh driver per function, matched through
- * matchFunction, so each function's stats are that driver's totals.
+ * The serial oracle: a fresh IdiomDetector per function, so each
+ * function's stats are that detector's stats.
  */
 driver::MatchReport
 perFunctionReport(ir::Module &module)
@@ -49,11 +48,11 @@ perFunctionReport(ir::Module &module)
     for (const auto &f : module.functions()) {
         if (f->isDeclaration())
             continue;
-        driver::MatchingDriver drv;
+        idioms::IdiomDetector detector;
         driver::FunctionReport fr;
         fr.function = f.get();
-        fr.matches = drv.matchFunction(f.get());
-        fr.stats = drv.totals();
+        fr.matches = detector.detect(f.get());
+        fr.stats = detector.stats();
         report.totals += fr.stats;
         report.functions.push_back(std::move(fr));
     }

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "driver/driver.h"
-#include "transform/transform.h"
+#include "transform/rewrite.h"
 #include "frontend/compiler.h"
 #include "interp/builtins.h"
 #include "interp/interpreter.h"
@@ -274,8 +274,8 @@ TEST(FuzzDifferential, VerifierCleanAtEveryPassBoundary)
         frontend::compileMiniCOrDie(src, hardened,
                                     ir::VerifyMode::Boundaries);
         hardened.functionByName("fuzz")->addAttribute("protect");
-        transform::Transformer protector(hardened,
-                                         ir::VerifyMode::Boundaries);
+        transform::RewriteEngine protector(hardened,
+                                           ir::VerifyMode::Boundaries);
         ASSERT_EQ(protector.applyAll({}).size(), 1u);
         ir::VerifierReport hr = ir::verifyModuleDetailed(hardened);
         EXPECT_EQ(hr.errorCount(), 0u) << hr.str();

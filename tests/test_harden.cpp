@@ -49,8 +49,8 @@ compileVariant(const benchmarks::BenchmarkProgram &program,
     ir::Function *entry = module.functionByName(program.entry);
     ASSERT_NE(entry, nullptr) << program.name;
     entry->addAttribute(protectAttr);
-    transform::Transformer transformer(module);
-    auto reps = transformer.applyAll({});
+    transform::RewriteEngine engine(module);
+    auto reps = engine.applyAll({});
     ASSERT_EQ(reps.size(), 1u) << program.name;
     EXPECT_EQ(reps[0].kind, "harden") << program.name;
     auto problems = ir::verifyModule(module);
@@ -278,12 +278,12 @@ TEST(Harden, ProtectedFunctionBeatsIdiomRewrite)
     auto matches = det.detectModule(module);
     ASSERT_GE(matches.size(), 1u); // the GEMM is still *detected*
 
-    transform::Transformer tr(module);
-    auto reps = tr.applyAll(matches);
+    transform::RewriteEngine engine(module);
+    auto reps = engine.applyAll(matches);
     ASSERT_EQ(reps.size(), 1u);
     EXPECT_EQ(reps[0].kind, "harden");
-    EXPECT_GE(tr.engine().stats().droppedOverlap, 1u);
-    EXPECT_EQ(tr.engine().stats().committed, 1u);
+    EXPECT_GE(engine.stats().droppedOverlap, 1u);
+    EXPECT_EQ(engine.stats().committed, 1u);
     auto problems = ir::verifyModule(module);
     EXPECT_TRUE(problems.empty()) << problems.front();
 
@@ -293,8 +293,8 @@ TEST(Harden, ProtectedFunctionBeatsIdiomRewrite)
     plainSrc.replace(plainSrc.find("__protect "), 10, "");
     frontend::compileMiniCOrDie(plainSrc, accel);
     idioms::IdiomDetector det2;
-    transform::Transformer tr2(accel);
-    auto reps2 = tr2.applyAll(det2.detectModule(accel));
+    transform::RewriteEngine engine2(accel);
+    auto reps2 = engine2.applyAll(det2.detectModule(accel));
     ASSERT_EQ(reps2.size(), 1u);
     EXPECT_EQ(reps2[0].kind, "gemm");
 }
@@ -317,8 +317,8 @@ TEST(Harden, TrapDeclarationIsReused)
     )";
     ir::Module module;
     frontend::compileMiniCOrDie(src, module);
-    transform::Transformer tr(module);
-    auto reps = tr.applyAll({});
+    transform::RewriteEngine engine(module);
+    auto reps = engine.applyAll({});
     ASSERT_EQ(reps.size(), 2u);
     EXPECT_EQ(reps[0].kind, "harden");
     EXPECT_EQ(reps[1].kind, "harden");

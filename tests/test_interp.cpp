@@ -84,6 +84,13 @@ INSTANTIATE_TEST_SUITE_P(
         IntOpCase{"a & b", [](int64_t a, int64_t b) { return a & b; }},
         IntOpCase{"a | b", [](int64_t a, int64_t b) { return a | b; }},
         IntOpCase{"a ^ b", [](int64_t a, int64_t b) { return a ^ b; }},
+        // The sweep's a goes negative: shift through uint64_t, as the
+        // engines do, since left-shifting a negative int64_t is UB.
+        IntOpCase{"a << b", [](int64_t a, int64_t b) {
+                      return static_cast<int64_t>(
+                          static_cast<uint64_t>(a) << b);
+                  }},
+        IntOpCase{"a >> b", [](int64_t a, int64_t b) { return a >> b; }},
         IntOpCase{"a < b",
                   [](int64_t a, int64_t b) -> int64_t { return a < b; }},
         IntOpCase{"a >= b", [](int64_t a, int64_t b) -> int64_t {

@@ -147,11 +147,11 @@ TEST(RewriteEngine, NestedReductionInsideGemmFiresOnce)
                 {"input1", "input2"}));
             matches.insert(matches.end(), gemm.begin(), gemm.end());
 
-            transform::Transformer tr(module);
-            reps = tr.applyAll(matches);
+            transform::RewriteEngine engine(module);
+            reps = engine.applyAll(matches);
             EXPECT_EQ(reps.size(), 1u);
             EXPECT_EQ(reps.empty() ? "" : reps[0].kind, "gemm");
-            EXPECT_EQ(tr.engine().stats().droppedOverlap, 1u);
+            EXPECT_EQ(engine.stats().droppedOverlap, 1u);
             expectValid(module);
         }
         const int M = 4, N = 3, K = 5;
@@ -198,11 +198,11 @@ TEST(RewriteEngine, SpmvBeatsInnerReductionOnSharedLoop)
         {"seq_read", "indir_read"}));
     matches.insert(matches.end(), spmv.begin(), spmv.end());
 
-    transform::Transformer tr(module);
-    auto reps = tr.applyAll(matches);
+    transform::RewriteEngine engine(module);
+    auto reps = engine.applyAll(matches);
     ASSERT_EQ(reps.size(), 1u);
     EXPECT_EQ(reps[0].kind, "spmv");
-    EXPECT_EQ(tr.engine().stats().droppedOverlap, 1u);
+    EXPECT_EQ(engine.stats().droppedOverlap, 1u);
     expectValid(module);
 }
 
@@ -223,11 +223,11 @@ TEST(RewriteEngine, DuplicateMatchFiresExactlyOnce)
     std::vector<idioms::IdiomMatch> matches = first;
     matches.insert(matches.end(), second.begin(), second.end());
 
-    transform::Transformer tr(module);
-    auto reps = tr.applyAll(matches);
+    transform::RewriteEngine engine(module);
+    auto reps = engine.applyAll(matches);
     ASSERT_EQ(reps.size(), 1u);
     EXPECT_EQ(reps[0].kind, "histogram");
-    EXPECT_EQ(tr.engine().stats().droppedOverlap, 1u);
+    EXPECT_EQ(engine.stats().droppedOverlap, 1u);
     expectValid(module);
 }
 
@@ -246,8 +246,8 @@ TEST(RewriteEngine, StaleAccumulatorAcrossDisjointMatches)
             idioms::IdiomDetector det;
             auto matches = det.detectModule(module);
             EXPECT_EQ(matches.size(), 2u);
-            transform::Transformer tr(module);
-            reps = tr.applyAll(matches);
+            transform::RewriteEngine engine(module);
+            reps = engine.applyAll(matches);
             EXPECT_EQ(reps.size(), 2u);
             for (const auto &rep : reps)
                 EXPECT_EQ(rep.kind, "reduce");
@@ -286,7 +286,7 @@ TEST(RewriteEngine, ValidationRejectsPlansAgainstMutatedIR)
 
     // Someone else rewrites the module (and its cleanup erases the
     // claimed loop) between our plan and commit.
-    transform::Transformer other(module);
+    transform::RewriteEngine other(module);
     ASSERT_EQ(other.applyAll(matches).size(), 1u);
 
     for (const auto &plan : plans)
@@ -406,8 +406,8 @@ TEST(RewriteEngine, ApplyAllParallelMatchesSerial)
         frontend::compileMiniCOrDie(src, module);
         idioms::IdiomDetector det;
         auto matches = det.detectModule(module);
-        transform::Transformer tr(module);
-        serialReps.push_back(tr.applyAll(matches));
+        transform::RewriteEngine engine(module);
+        serialReps.push_back(engine.applyAll(matches));
         serialPrinted.push_back(ir::printModule(module));
     }
 

@@ -131,9 +131,7 @@ TEST(MatchFingerprint, DisambiguatesSameNamedFunctionsAcrossModules)
 
     driver::MatchingDriver drv;
     auto fa = fingerprints(drv.matchModule(a).allMatches());
-    drv.invalidateAll();
     auto fb = fingerprints(drv.matchModule(b).allMatches());
-    drv.invalidateAll();
     auto fc = fingerprints(drv.matchModule(c).allMatches());
 
     ASSERT_FALSE(fa.empty());
@@ -155,8 +153,7 @@ TEST(MatchCache, CaptureReanchorRoundTrip)
     ir::Function *fa = a.functionByName("reduce");
     ir::Function *fb = b.functionByName("reduce");
 
-    driver::MatchingDriver drv;
-    auto matches = drv.matchFunction(fa);
+    auto matches = idioms::IdiomDetector().detect(fa);
     ASSERT_FALSE(matches.empty());
 
     std::vector<driver::PortableMatch> portable;
@@ -306,7 +303,6 @@ TEST(CachedDriver, ParallelBatchSharesTheCache)
 
     ir::Module warm;
     frontend::compileMiniCOrDie(clientSource(), warm);
-    drv.invalidateAll();
     auto warmReport = drv.matchModule(warm, 4);
     EXPECT_EQ(warmReport.cacheHits, 3u);
     EXPECT_EQ(warmReport.cacheMisses, 0u);
@@ -762,6 +758,6 @@ TEST(SocketServer, UnixSocketEditSessionRoundTrip)
 
     // The warm submission went through the shared service state.
     EXPECT_EQ(svc.sessionCount(), 1u);
-    EXPECT_EQ(svc.cacheCounters().hits, 3u);
+    EXPECT_EQ(svc.cache().counters().hits, 3u);
     server.stop();
 }

@@ -175,9 +175,9 @@ TEST(SnapshotChaos, RoundTripPreservesEntriesAndServesWarmHits)
     ASSERT_TRUE(loaded.ok) << loaded.detail;
     EXPECT_EQ(loaded.records, 3u);
     EXPECT_EQ(loaded.skipped, 0u);
-    EXPECT_EQ(restarted.cacheSize(), 3u);
+    EXPECT_EQ(restarted.cache().size(), 3u);
     // Restored entries are not request activity.
-    EXPECT_EQ(restarted.cacheCounters().insertions, 0u);
+    EXPECT_EQ(restarted.cache().counters().insertions, 0u);
 
     auto warm = populate(restarted);
     EXPECT_EQ(warm.cacheHits, 3u);
@@ -194,7 +194,7 @@ TEST(SnapshotChaos, MissingFileIsACleanColdStart)
         svc.cache(), tempPath("never_written.snap"));
     EXPECT_FALSE(result.ok);
     EXPECT_NE(result.detail.find("cold start"), std::string::npos);
-    EXPECT_EQ(svc.cacheSize(), 0u);
+    EXPECT_EQ(svc.cache().size(), 0u);
 }
 
 TEST(SnapshotChaos, RestoreRespectsCapacityAndKeepsHottestEntries)
@@ -211,7 +211,7 @@ TEST(SnapshotChaos, RestoreRespectsCapacityAndKeepsHottestEntries)
     service::MatchService small(opts);
     auto loaded = driver::loadSnapshot(small.cache(), path);
     EXPECT_TRUE(loaded.ok) << loaded.detail;
-    ASSERT_EQ(small.cacheSize(), 2u);
+    ASSERT_EQ(small.cache().size(), 2u);
 
     // The survivors are the two hottest entries — the ones most
     // recently touched before the save (histo and helper were
@@ -317,7 +317,7 @@ recoverAndVerify(const std::vector<uint8_t> &bytes,
     writeFile(path, bytes);
     service::MatchService svc;
     auto loaded = driver::loadSnapshot(svc.cache(), path);
-    EXPECT_LE(svc.cacheSize(), 3u) << what;
+    EXPECT_LE(svc.cache().size(), 3u) << what;
     (void)loaded; // ok or cold start are both acceptable; crashing
                   // or wrong matches below are not.
     if (verifyMatches) {
@@ -662,7 +662,7 @@ TEST(Degradation, ExpiredDeadlineDegradesDeterministically)
     EXPECT_NE(lines[0].find(" degraded=deadline"),
               std::string::npos);
     // Nothing was deposited for the degraded functions.
-    EXPECT_EQ(svc.cacheSize(), 0u);
+    EXPECT_EQ(svc.cache().size(), 0u);
 }
 
 TEST(Degradation, DegradedResultsAreNotCachedWarmResubmitResolves)
@@ -735,7 +735,6 @@ TEST(Degradation, BudgetExhaustionMidBatchDoesNotPoisonTheCache)
     EXPECT_EQ(recovered.matchCount(), expected.matchCount());
 
     // Third pass: now everything replays, and still matches.
-    drv.invalidateAll();
     ir::Module replayed;
     auto replay = drv.compileAndMatch(clientSource(), replayed);
     EXPECT_EQ(replay.cacheMisses, 0u);

@@ -8,6 +8,7 @@
 #include "ir/verifier.h"
 #include "driver/driver.h"
 #include "transform/binder.h"
+#include "transform/rewrite.h"
 #include "transform/transform.h"
 
 using namespace repro;
@@ -36,8 +37,8 @@ struct Pipeline
         idioms::IdiomDetector det;
         auto found = det.detectModule(*module);
         matches = static_cast<int>(found.size());
-        transform::Transformer tr(*module);
-        replacements = tr.applyAll(found);
+        transform::RewriteEngine engine(*module);
+        replacements = engine.applyAll(found);
         auto problems = ir::verifyModule(*module);
         ASSERT_TRUE(problems.empty())
             << problems.front() << "\n"
@@ -289,8 +290,8 @@ TEST(Transform, EngineMatchesReferenceOnTable1Suite)
 
         transform::Transformer ref_tr(ref_module);
         auto ref_reps = ref_tr.applyAllReference(ref_matches);
-        transform::Transformer eng_tr(eng_module);
-        auto eng_reps = eng_tr.applyAll(eng_matches);
+        transform::RewriteEngine engine(eng_module);
+        auto eng_reps = engine.applyAll(eng_matches);
 
         ASSERT_EQ(ref_reps.size(), eng_reps.size()) << b.name;
         for (size_t i = 0; i < ref_reps.size(); ++i) {
