@@ -189,7 +189,7 @@ DomTree::dominates(const Instruction *a, const Instruction *b) const
         int ib = bb->indexOf(b);
         return postDom_ ? ia >= ib : ia <= ib;
     }
-    return postDom_ ? dominates(ba, bb) : dominates(ba, bb);
+    return dominates(ba, bb);
 }
 
 bool

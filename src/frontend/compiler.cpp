@@ -30,13 +30,21 @@ compileMiniC(const std::string &source, ir::Module &module,
         aggressiveDCE(f.get());
         optimizeFunction(f.get());
     }
-    if (boundaries)
-        ir::verifyOrThrow(module, "frontend-optimize");
 
-    auto problems = ir::verifyModule(module);
-    for (const auto &p : problems)
-        diags.error({}, "invalid IR after lowering: " + p);
-    return problems.empty();
+    // The final check runs in every mode, once. Under Boundaries a
+    // defect is a bug in the passes above and throws at the
+    // "frontend-optimize" boundary; otherwise each error-tier finding
+    // becomes a compile error carrying its rule id.
+    ir::VerifierReport report = ir::verifyModuleDetailed(module);
+    if (boundaries && !report.ok())
+        throw InternalError(
+            "IR verification failed at boundary 'frontend-optimize':\n" +
+            report.str());
+    for (const auto &d : report.diags) {
+        if (d.severity == ir::VerifySeverity::Error)
+            diags.error({}, "invalid IR after lowering: " + d.str());
+    }
+    return report.ok();
 }
 
 void

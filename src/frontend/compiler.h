@@ -18,13 +18,14 @@ namespace repro::frontend {
  * Compile MiniC @p source into @p module (optimized SSA form).
  * Returns false and fills @p diags on any error.
  *
- * With @p verify == VerifyMode::Boundaries the dominance-aware IR
- * verifier additionally runs after codegen ("frontend-codegen"),
- * after mem2reg ("frontend-mem2reg") and after the cleanup passes
- * ("frontend-optimize"), throwing InternalError naming the boundary
- * on the first defect — pinpointing which stage broke the module
- * instead of reporting a blurred post-hoc diagnostic. The final
- * diags-based module check always runs regardless of the mode.
+ * The dominance-aware IR verifier always checks the final module
+ * once; an error-tier finding fails the compile with an "invalid IR
+ * after lowering: rule=..." diagnostic. With @p verify ==
+ * VerifyMode::Boundaries it additionally runs after codegen
+ * ("frontend-codegen") and after mem2reg ("frontend-mem2reg"), and
+ * the final check throws instead ("frontend-optimize"): each throws
+ * InternalError naming the boundary on the first defect, pinpointing
+ * which stage broke the module.
  */
 bool compileMiniC(const std::string &source, ir::Module &module,
                   DiagEngine &diags,

@@ -32,9 +32,8 @@
  *    ("attr-unknown").
  *
  * Diagnostics are structured (rule id, function, block, instruction
- * index) so negative-oracle tests can pin exact rules and the service
- * layer can reject malformed modules with a structured protocol
- * error. The legacy string API remains as a thin wrapper over the
+ * index) so negative-oracle tests can pin exact rules and a compile
+ * error (and so the service's wire error) names the rule it broke. The legacy string API remains as a thin wrapper over the
  * error tier.
  */
 #ifndef IR_VERIFIER_H

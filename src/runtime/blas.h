@@ -3,10 +3,10 @@
  * Dense linear algebra reference implementations.
  *
  * These play the role of the vendor BLAS libraries the paper targets
- * (MKL, cuBLAS, clBLAS, CLBlast): the transformation replaces matched
- * GEMM loop nests with calls into this library, and the device model
- * attributes per-API performance. The implementation runs on the
- * host, so every transformed benchmark stays executable and testable.
+ * (MKL, cuBLAS, clBLAS, CLBlast) in examples/gemm_two_styles, the
+ * paper's Figure 15. A transformed module's GEMM calls do not reach
+ * this library: transform/binder.cpp runs them in its own loop over
+ * the interpreter's checked Memory.
  */
 #ifndef RUNTIME_BLAS_H
 #define RUNTIME_BLAS_H

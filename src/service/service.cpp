@@ -4,7 +4,6 @@
 #include <map>
 
 #include "frontend/compiler.h"
-#include "ir/verifier.h"
 #include "transform/rewrite.h"
 
 namespace repro::service {
@@ -37,7 +36,9 @@ MatchService::submit(const std::string &moduleName,
     outcome.module = moduleName;
 
     // Compile into a fresh module first: a failed submission must
-    // leave the previous session fully intact.
+    // leave the previous session fully intact. compileMiniC verifies
+    // the final IR in every VerifyMode, so nothing malformed reaches
+    // the shared cache.
     ir::Module module;
     module.setName(moduleName);
     auto t0 = std::chrono::steady_clock::now();
@@ -46,16 +47,6 @@ MatchService::submit(const std::string &moduleName,
         outcome.error = diags.all().empty()
                             ? std::string("compilation failed")
                             : diags.all().front().str();
-        return outcome;
-    }
-    // Defense in depth, always on regardless of VerifyMode: nothing
-    // malformed may reach the session store or the shared match cache
-    // (cached entries outlive the module that deposited them). The
-    // rejection is structured — the wire error carries the verifier's
-    // rule id and location, not a blurred "bad module".
-    ir::VerifierReport vr = ir::verifyModuleDetailed(module);
-    if (vr.errorCount() != 0) {
-        outcome.error = "invalid-ir " + vr.firstError().str();
         return outcome;
     }
     outcome.compileMillis = millisSince(t0);

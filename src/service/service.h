@@ -132,11 +132,12 @@ class MatchService
      * unbounded). An expired deadline still succeeds, with
      * SubmitOutcome::degraded set and partial matches.
      *
-     * Every compiled module additionally runs through the
-     * dominance-aware IR verifier (always, independent of the
-     * REPRO_VERIFY mode): a module with any error-tier defect is
-     * rejected with a structured "invalid-ir rule=... " error before
-     * it can reach the session store or the shared cache.
+     * Nothing malformed reaches the session store or the shared
+     * cache: compileMiniC's final IR verification runs in every
+     * REPRO_VERIFY mode, and a module with an error-tier defect
+     * fails the compile. The wire error is that compile error, e.g.
+     * "error: invalid IR after lowering: rule=dom-use function=@f
+     * ...", carrying the verifier's rule id and location.
      */
     SubmitOutcome submit(const std::string &moduleName,
                          const std::string &source,

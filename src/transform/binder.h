@@ -19,8 +19,9 @@ namespace repro::transform {
  * @p replacements, so a transformed module stays executable:
  * DSL-backed idioms (reduce/histogram/stencil) call back into their
  * extracted IR kernel functions through the interpreter, while
- * library-backed ones (spmv/gemm) run directly over the heap via
- * runtime/sparse.h and runtime/blas.h. Call after
+ * library-backed ones run directly over the checked heap: spmv via
+ * runtime/sparse.h's csrmv, gemm through binder.cpp's own loop over
+ * Memory loads and stores. Call after
  * transform::RewriteEngine::applyAll and before Interpreter::run.
  */
 void bindReplacements(interp::Interpreter &interp,

@@ -158,31 +158,37 @@ TEST(DriverParallel, ManyFunctionModuleAnyThreadCount)
 
 TEST(DriverParallel, BatchAcrossModulesMatchesSerial)
 {
-    // The Table 1 shape: many single-function modules, one shared
-    // work queue across all of them.
-    std::vector<const benchmarks::BenchmarkProgram *> programs;
-    for (const char *name : {"sgemm", "CG", "MG", "LU", "histo"})
-        programs.push_back(&benchmarks::benchmarkByName(name));
+    // The Table 1 workload: all 21 NAS/Parboil programs, one
+    // single-function module each, one shared work queue across all
+    // of them.
+    const auto &programs = benchmarks::nasParboilSuite();
 
     std::vector<std::unique_ptr<ir::Module>> modules;
     std::vector<ir::Module *> modulePtrs;
     std::vector<driver::MatchReport> serial;
-    for (const auto *p : programs) {
+    solver::SolveStats serialTotals;
+    for (const auto &p : programs) {
         modules.push_back(std::make_unique<ir::Module>());
-        frontend::compileMiniCOrDie(p->source, *modules.back());
+        frontend::compileMiniCOrDie(p.source, *modules.back());
         modulePtrs.push_back(modules.back().get());
         serial.push_back(perFunctionReport(*modules.back()));
+        serialTotals += serial.back().totals;
     }
 
-    for (unsigned threads : {1u, 2u, 4u, 0u}) {
+    for (unsigned threads : {1u, 2u, 4u, 8u, 0u}) {
+        SCOPED_TRACE(threads);
         driver::MatchingDriver drv;
         auto parallel = drv.runParallelBatch(modulePtrs, threads);
         ASSERT_EQ(parallel.size(), serial.size());
+        solver::SolveStats batchTotals;
         for (size_t m = 0; m < serial.size(); ++m) {
-            SCOPED_TRACE(programs[m]->name + " @ " +
-                         std::to_string(threads));
+            SCOPED_TRACE(programs[m].name);
             expectSameReport(serial[m], parallel[m]);
+            batchTotals += parallel[m].totals;
         }
+        // The whole batch did exactly the serial run's solver work.
+        expectSameStats(serialTotals, batchTotals);
+        expectSameStats(serialTotals, drv.totals());
     }
 }
 

@@ -5,7 +5,6 @@
 #include "ir/printer.h"
 #include "runtime/blas.h"
 #include "runtime/device_model.h"
-#include "runtime/halide_like.h"
 #include "runtime/lift_like.h"
 #include "runtime/sparse.h"
 #include "benchmarks/suite.h"
@@ -95,31 +94,6 @@ TEST(Lift, PatternsComposeAndEvaluate)
 
     std::string cl = generateOpenCl(total, "sum");
     EXPECT_NE(cl.find("__kernel"), std::string::npos);
-}
-
-TEST(Halide, StencilRealizeWithClampedBorders)
-{
-    using namespace runtime::halide;
-    Buffer in = Buffer::make({4, 4});
-    for (size_t i = 0; i < in.data.size(); ++i)
-        in.data[i] = static_cast<double>(i);
-
-    Func blur("blur");
-    blur.define((inputAt(0, {0, -1}) + inputAt(0, {0, 1}) +
-                 inputAt(0, {0, 0})) /
-                constant(3.0));
-    blur.schedule().parallelOuter = true;
-    blur.schedule().vectorWidth = 4;
-
-    Buffer out = blur.realize({4, 4}, {&in});
-    // Interior cell (1,1): mean of (1,0),(1,2),(1,1).
-    EXPECT_DOUBLE_EQ(out.data[1 * 4 + 1], (4 + 6 + 5) / 3.0);
-    // Border clamps: (0,0) uses (0,-1)->(0,0).
-    EXPECT_DOUBLE_EQ(out.data[0], (0 + 1 + 0) / 3.0);
-
-    std::string src = blur.compileToSource();
-    EXPECT_NE(src.find("parallel(y)"), std::string::npos);
-    EXPECT_NE(src.find("vectorize(x,4)"), std::string::npos);
 }
 
 TEST(DeviceModel, LazyCopyNeverSlower)
