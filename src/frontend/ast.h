@@ -146,6 +146,13 @@ struct FunctionDecl
     /** `__protect` / `__protect(eddi|cfcss)` reliability annotation. */
     bool protect = false;
     std::string protectMode; ///< "", "eddi" or "cfcss"
+    /**
+     * Byte range [sourceBegin, sourceEnd) of the whole declaration in
+     * the source: from `__protect` or the return type to the closing
+     * brace or semicolon.
+     */
+    size_t sourceBegin = 0;
+    size_t sourceEnd = 0;
 };
 
 /** A module-level variable. */

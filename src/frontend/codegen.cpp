@@ -1,6 +1,7 @@
 #include "frontend/codegen.h"
 
 #include <map>
+#include <set>
 #include <vector>
 
 #include "ir/irbuilder.h"
@@ -32,38 +33,50 @@ class CodeGen
         : unit_(unit), module_(module), builder_(module), diags_(diags)
     {}
 
+    /** Builtins, globals and every function's signature. */
+    void
+    declare()
+    {
+        declareBuiltins();
+        for (const auto &g : unit_.globals)
+            module_.createGlobal(g.name, irTypeOf(g.type, false));
+        // Declare all functions first so calls resolve in any order.
+        for (const auto &f : unit_.functions) {
+            if (module_.functionByName(f->name))
+                continue;
+            std::vector<Type *> params;
+            for (const auto &p : f->params)
+                params.push_back(irTypeOf(p.type, true));
+            ir::Function *func = module_.createFunction(
+                f->name, irTypeOf(f->returnType, true), params);
+            for (size_t i = 0; i < f->params.size(); ++i)
+                func->arg(i)->setName(f->params[i].name);
+            if (f->protect) {
+                func->addAttribute(f->protectMode.empty()
+                                       ? "protect"
+                                       : "protect:" + f->protectMode);
+            }
+        }
+    }
+
+    /** The bodies of every definition whose function is not in
+     *  @p skip. */
+    void
+    define(const std::set<const ir::Function *> &skip)
+    {
+        for (const auto &f : unit_.functions) {
+            if (f->body && !skip.count(module_.functionByName(f->name)))
+                genFunction(*f);
+        }
+    }
+
+    /** Run @p step, turning a codegen error into false. */
+    template <typename Step>
     bool
-    run()
+    guarded(Step step)
     {
         try {
-            declareBuiltins();
-            for (const auto &g : unit_.globals) {
-                module_.createGlobal(g.name,
-                                     irTypeOf(g.type, false));
-            }
-            // Declare all functions first so calls resolve in any
-            // order.
-            for (const auto &f : unit_.functions) {
-                if (module_.functionByName(f->name))
-                    continue;
-                std::vector<Type *> params;
-                for (const auto &p : f->params)
-                    params.push_back(irTypeOf(p.type, true));
-                ir::Function *func = module_.createFunction(
-                    f->name, irTypeOf(f->returnType, true), params);
-                for (size_t i = 0; i < f->params.size(); ++i)
-                    func->arg(i)->setName(f->params[i].name);
-                if (f->protect) {
-                    func->addAttribute(
-                        f->protectMode.empty()
-                            ? "protect"
-                            : "protect:" + f->protectMode);
-                }
-            }
-            for (const auto &f : unit_.functions) {
-                if (f->body)
-                    genFunction(*f);
-            }
+            step();
         } catch (const FatalError &) {
             return false;
         }
@@ -351,6 +364,14 @@ class CodeGen
     genFunction(const FunctionDecl &decl)
     {
         func_ = module_.functionByName(decl.name);
+        // A definition with more parameters than an earlier
+        // declaration of the same name would index past the declared
+        // arguments below.
+        if (decl.params.size() > func_->numArgs()) {
+            fail(decl.loc, "definition of '" + decl.name +
+                               "' does not match its earlier "
+                               "declaration");
+        }
         locals_.clear();
         breakTargets_.clear();
         continueTargets_.clear();
@@ -899,8 +920,24 @@ bool
 generateIR(const TranslationUnit &unit, ir::Module &module,
            DiagEngine &diags)
 {
+    return declareIR(unit, module, diags) &&
+           defineIR(unit, module, diags);
+}
+
+bool
+declareIR(const TranslationUnit &unit, ir::Module &module,
+          DiagEngine &diags)
+{
     CodeGen gen(unit, module, diags);
-    return gen.run();
+    return gen.guarded([&] { gen.declare(); });
+}
+
+bool
+defineIR(const TranslationUnit &unit, ir::Module &module,
+         DiagEngine &diags, const std::set<const ir::Function *> &skip)
+{
+    CodeGen gen(unit, module, diags);
+    return gen.guarded([&] { gen.define(skip); });
 }
 
 } // namespace repro::frontend

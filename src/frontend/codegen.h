@@ -11,6 +11,8 @@
 #ifndef FRONTEND_CODEGEN_H
 #define FRONTEND_CODEGEN_H
 
+#include <set>
+
 #include "frontend/ast.h"
 #include "ir/function.h"
 
@@ -22,6 +24,23 @@ namespace repro::frontend {
  */
 bool generateIR(const TranslationUnit &unit, ir::Module &module,
                 DiagEngine &diags);
+
+/**
+ * generateIR's first step: builtins, globals and every function's
+ * signature, argument names and attributes, but no body. A name
+ * declared twice keeps its first declaration.
+ */
+bool declareIR(const TranslationUnit &unit, ir::Module &module,
+               DiagEngine &diags);
+
+/**
+ * generateIR's second step, over a module declareIR filled: the body
+ * of every definition whose function is not in @p skip. Definitions
+ * sharing a name all go into that name's one function.
+ */
+bool defineIR(const TranslationUnit &unit, ir::Module &module,
+              DiagEngine &diags,
+              const std::set<const ir::Function *> &skip = {});
 
 } // namespace repro::frontend
 

@@ -1,20 +1,29 @@
 #include "frontend/lexer.h"
 
 #include <cctype>
-#include <set>
 
 namespace repro::frontend {
 
 namespace {
 
-const std::set<std::string> kKeywords = {
+constexpr std::string_view kKeywords[] = {
     "int", "long", "float", "double", "void", "for", "while", "do",
     "if", "else", "return", "break", "continue", "const",
     "__protect",
 };
 
+bool
+isKeyword(std::string_view text)
+{
+    for (std::string_view k : kKeywords) {
+        if (k == text)
+            return true;
+    }
+    return false;
+}
+
 // Longest first so that ">>" wins over ">".
-const char *kPuncts[] = {
+constexpr std::string_view kPuncts[] = {
     "<<=", ">>=", "...",
     "==", "!=", "<=", ">=", "&&", "||", "++", "--", "+=", "-=",
     "*=", "/=", "%=", "<<", ">>", "->",
@@ -67,6 +76,7 @@ lexMiniC(const std::string &source, DiagEngine &diags)
             }
         }
         SourceLoc loc{line, col};
+        const size_t offset = pos;
         // Identifiers and keywords.
         if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
             size_t start = pos;
@@ -77,9 +87,9 @@ lexMiniC(const std::string &source, DiagEngine &diags)
                 advance(1);
             }
             std::string text = source.substr(start, pos - start);
-            TokKind kind = kKeywords.count(text) ? TokKind::Keyword
-                                                 : TokKind::Identifier;
-            tokens.push_back({kind, text, loc});
+            TokKind kind = isKeyword(text) ? TokKind::Keyword
+                                           : TokKind::Identifier;
+            tokens.push_back({kind, std::move(text), loc, offset});
             continue;
         }
         // Numbers.
@@ -113,19 +123,19 @@ lexMiniC(const std::string &source, DiagEngine &diags)
                     break;
                 }
             }
-            std::string text = source.substr(start, pos - start);
             tokens.push_back({isFloat ? TokKind::FloatLiteral
                                       : TokKind::IntLiteral,
-                              text, loc});
+                              source.substr(start, pos - start), loc,
+                              offset});
             continue;
         }
         // Punctuation.
         bool matched = false;
-        for (const char *p : kPuncts) {
-            size_t len = std::string(p).size();
-            if (source.compare(pos, len, p) == 0) {
-                tokens.push_back({TokKind::Punct, p, loc});
-                advance(len);
+        for (std::string_view p : kPuncts) {
+            if (p[0] == c && source.compare(pos, p.size(), p) == 0) {
+                tokens.push_back({TokKind::Punct, std::string(p), loc,
+                                  offset});
+                advance(p.size());
                 matched = true;
                 break;
             }
@@ -136,7 +146,7 @@ lexMiniC(const std::string &source, DiagEngine &diags)
             advance(1);
         }
     }
-    tokens.push_back({TokKind::End, "", {line, col}});
+    tokens.push_back({TokKind::End, "", {line, col}, pos});
     return tokens;
 }
 

@@ -6,6 +6,7 @@
 #define FRONTEND_LEXER_H
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/diagnostics.h"
@@ -29,18 +30,20 @@ struct Token
     TokKind kind = TokKind::End;
     std::string text;
     SourceLoc loc;
+    /** Byte offset of the token's first character in the source. */
+    size_t offset = 0;
 
     bool is(TokKind k) const { return kind == k; }
     bool
-    is(TokKind k, const std::string &t) const
+    is(TokKind k, std::string_view t) const
     {
         return kind == k && text == t;
     }
-    bool isPunct(const std::string &t) const
+    bool isPunct(std::string_view t) const
     {
         return is(TokKind::Punct, t);
     }
-    bool isKeyword(const std::string &t) const
+    bool isKeyword(std::string_view t) const
     {
         return is(TokKind::Keyword, t);
     }

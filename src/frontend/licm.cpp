@@ -317,12 +317,14 @@ hoistLoopInvariants(Function *func)
 {
     if (func->isDeclaration())
         return 0;
+    // Hoisting moves instructions, never blocks, so the block-level
+    // analyses stay valid across sweeps.
+    analysis::DomTree dom(func, false);
+    analysis::LoopInfo loops(func, dom);
     int total = 0;
     bool changed = true;
     while (changed) {
         changed = false;
-        analysis::DomTree dom(func, false);
-        analysis::LoopInfo loops(func, dom);
         for (const auto &loop : loops.loops()) {
             int h = hoistInLoop(func, *loop, dom);
             if (h > 0) {
@@ -330,8 +332,6 @@ hoistLoopInvariants(Function *func)
                 changed = true;
             }
         }
-        if (changed)
-            continue;
     }
     return total;
 }

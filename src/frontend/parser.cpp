@@ -1,7 +1,7 @@
 #include "frontend/parser.h"
 
-#include <map>
 #include <string>
+#include <string_view>
 
 namespace repro::frontend {
 
@@ -61,17 +61,19 @@ class Parser
         return i < tokens_.size() ? tokens_[i] : tokens_.back();
     }
 
-    Token
+    const Token &
     next()
     {
-        Token t = peek();
-        if (pos_ < tokens_.size() - 1)
+        const Token &t = peek();
+        if (pos_ < tokens_.size() - 1) {
             ++pos_;
+            consumedEnd_ = t.offset + t.text.size();
+        }
         return t;
     }
 
     bool
-    accept(TokKind kind, const std::string &text)
+    accept(TokKind kind, std::string_view text)
     {
         if (peek().is(kind, text)) {
             next();
@@ -80,17 +82,18 @@ class Parser
         return false;
     }
 
-    bool acceptPunct(const std::string &p)
+    bool acceptPunct(std::string_view p)
     {
         return accept(TokKind::Punct, p);
     }
 
     void
-    expectPunct(const std::string &p)
+    expectPunct(std::string_view p)
     {
         if (!acceptPunct(p)) {
-            diags_.error(peek().loc, "expected '" + p + "' before '" +
-                                         peek().text + "'");
+            diags_.error(peek().loc, "expected '" + std::string(p) +
+                                         "' before '" + peek().text +
+                                         "'");
             throw FatalError("MiniC parse error");
         }
     }
@@ -109,7 +112,7 @@ class Parser
     {
         while (accept(TokKind::Keyword, "const")) {
         }
-        Token t = next();
+        const Token &t = next();
         BaseType base;
         if (t.isKeyword("int")) {
             base = BaseType::Int;
@@ -159,7 +162,7 @@ class Parser
                 }
                 type.dims.push_back(0);
             } else {
-                Token n = next();
+                const Token &n = next();
                 if (!n.is(TokKind::IntLiteral)) {
                     diags_.error(n.loc, "expected array size literal");
                     throw FatalError("MiniC parse error");
@@ -177,12 +180,13 @@ class Parser
         // Optional reliability annotation: `__protect` or
         // `__protect(eddi)` / `__protect(cfcss)` before the return
         // type marks the following function definition for hardening.
+        const size_t begin = peek().offset;
         bool protect = false;
         std::string protect_mode;
         if (accept(TokKind::Keyword, "__protect")) {
             protect = true;
             if (acceptPunct("(")) {
-                Token mode = next();
+                const Token &mode = next();
                 if (!mode.is(TokKind::Identifier) ||
                     (mode.text != "eddi" && mode.text != "cfcss")) {
                     diags_.error(mode.loc,
@@ -196,21 +200,22 @@ class Parser
             }
         }
         TypeSpec type = parseTypePrefix();
-        Token name = next();
-        if (!name.is(TokKind::Identifier)) {
-            diags_.error(name.loc, "expected identifier at top level");
+        const Token *name = &next();
+        if (!name->is(TokKind::Identifier)) {
+            diags_.error(name->loc, "expected identifier at top level");
             throw FatalError("MiniC parse error");
         }
         if (protect && !peek().isPunct("(")) {
-            diags_.error(name.loc,
+            diags_.error(name->loc,
                          "__protect only applies to functions");
             throw FatalError("MiniC parse error");
         }
         if (peek().isPunct("(")) {
             auto func = std::make_unique<FunctionDecl>();
             func->returnType = type;
-            func->name = name.text;
-            func->loc = name.loc;
+            func->name = name->text;
+            func->loc = name->loc;
+            func->sourceBegin = begin;
             func->protect = protect;
             func->protectMode = protect_mode;
             expectPunct("(");
@@ -223,7 +228,7 @@ class Parser
                     }
                     ParamDecl param;
                     param.type = parseTypePrefix();
-                    Token pname = next();
+                    const Token &pname = next();
                     if (!pname.is(TokKind::Identifier)) {
                         diags_.error(pname.loc,
                                      "expected parameter name");
@@ -235,11 +240,9 @@ class Parser
                 } while (acceptPunct(","));
                 expectPunct(")");
             }
-            if (acceptPunct(";")) {
-                unit.functions.push_back(std::move(func));
-                return;
-            }
-            func->body = parseBlock();
+            if (!acceptPunct(";"))
+                func->body = parseBlock();
+            func->sourceEnd = consumedEnd_;
             unit.functions.push_back(std::move(func));
             return;
         }
@@ -247,12 +250,12 @@ class Parser
         while (true) {
             GlobalDecl g;
             g.type = type;
-            g.name = name.text;
-            g.loc = name.loc;
+            g.name = name->text;
+            g.loc = name->loc;
             parseArraySuffix(g.type, false);
             unit.globals.push_back(std::move(g));
             if (acceptPunct(",")) {
-                name = next();
+                name = &next();
                 continue;
             }
             expectPunct(";");
@@ -355,7 +358,7 @@ class Parser
         TypeSpec type = base_type;
         while (acceptPunct("*"))
             ++type.pointerDepth;
-        Token name = next();
+        const Token &name = next();
         if (!name.is(TokKind::Identifier)) {
             diags_.error(name.loc, "expected variable name");
             throw FatalError("MiniC parse error");
@@ -373,7 +376,7 @@ class Parser
     StmtPtr
     parseIf()
     {
-        Token t = next(); // if
+        const Token &t = next(); // if
         auto stmt = std::make_unique<Stmt>(Stmt::Kind::If);
         stmt->loc = t.loc;
         expectPunct("(");
@@ -388,7 +391,7 @@ class Parser
     StmtPtr
     parseWhile()
     {
-        Token t = next(); // while
+        const Token &t = next(); // while
         auto stmt = std::make_unique<Stmt>(Stmt::Kind::While);
         stmt->loc = t.loc;
         expectPunct("(");
@@ -401,7 +404,7 @@ class Parser
     StmtPtr
     parseDoWhile()
     {
-        Token t = next(); // do
+        const Token &t = next(); // do
         auto stmt = std::make_unique<Stmt>(Stmt::Kind::DoWhile);
         stmt->loc = t.loc;
         stmt->body.push_back(parseStatement());
@@ -419,7 +422,7 @@ class Parser
     StmtPtr
     parseFor()
     {
-        Token t = next(); // for
+        const Token &t = next(); // for
         auto stmt = std::make_unique<Stmt>(Stmt::Kind::For);
         stmt->loc = t.loc;
         expectPunct("(");
@@ -480,7 +483,7 @@ class Parser
     {
         ExprPtr cond = parseBinary(0);
         if (peek().isPunct("?")) {
-            Token t = next();
+            const Token &t = next();
             auto e = std::make_unique<Expr>(Expr::Kind::Ternary);
             e->loc = t.loc;
             e->children.push_back(std::move(cond));
@@ -492,17 +495,32 @@ class Parser
         return cond;
     }
 
-    int
-    precedenceOf(const std::string &op) const
+    /** Binary operator precedence; -1 for anything else. */
+    static int
+    precedenceOf(std::string_view op)
     {
-        static const std::map<std::string, int> prec = {
-            {"||", 1}, {"&&", 2}, {"|", 3}, {"^", 4}, {"&", 5},
-            {"==", 6}, {"!=", 6}, {"<", 7}, {"<=", 7}, {">", 7},
-            {">=", 7}, {"<<", 8}, {">>", 8}, {"+", 9}, {"-", 9},
-            {"*", 10}, {"/", 10}, {"%", 10},
-        };
-        auto it = prec.find(op);
-        return it == prec.end() ? -1 : it->second;
+        if (op.size() == 1) {
+            switch (op[0]) {
+              case '|': return 3;
+              case '^': return 4;
+              case '&': return 5;
+              case '<': case '>': return 7;
+              case '+': case '-': return 9;
+              case '*': case '/': case '%': return 10;
+              default: return -1;
+            }
+        }
+        if (op == "||")
+            return 1;
+        if (op == "&&")
+            return 2;
+        if (op == "==" || op == "!=")
+            return 6;
+        if (op == "<=" || op == ">=")
+            return 7;
+        if (op == "<<" || op == ">>")
+            return 8;
+        return -1;
     }
 
     ExprPtr
@@ -519,7 +537,7 @@ class Parser
             int prec = precedenceOf(t.text);
             if (prec < 0 || prec < min_prec)
                 break;
-            Token op = next();
+            const Token &op = next();
             enterLevel();
             ++chained;
             ExprPtr rhs = parseBinary(prec + 1);
@@ -540,7 +558,7 @@ class Parser
         const Token &t = peek();
         if (t.isPunct("-") || t.isPunct("!") || t.isPunct("*") ||
             t.isPunct("~") || t.isPunct("+")) {
-            Token op = next();
+            const Token &op = next();
             auto e = std::make_unique<Expr>(Expr::Kind::Unary);
             e->loc = op.loc;
             e->op = op.text;
@@ -549,7 +567,7 @@ class Parser
             return e;
         }
         if (t.isPunct("++") || t.isPunct("--")) {
-            Token op = next();
+            const Token &op = next();
             // Lower prefix inc/dec as the matching compound assign.
             auto e = std::make_unique<Expr>(Expr::Kind::Assign);
             e->loc = op.loc;
@@ -615,7 +633,7 @@ class Parser
                 expectPunct("]");
                 e = std::move(idx);
             } else if (t.isPunct("++") || t.isPunct("--")) {
-                Token op = next();
+                const Token &op = next();
                 auto post =
                     std::make_unique<Expr>(Expr::Kind::PostIncDec);
                 post->loc = op.loc;
@@ -632,7 +650,7 @@ class Parser
     ExprPtr
     parsePrimary()
     {
-        Token t = next();
+        const Token &t = next();
         if (t.is(TokKind::IntLiteral)) {
             auto e = std::make_unique<Expr>(Expr::Kind::IntLit);
             e->loc = t.loc;
@@ -687,6 +705,8 @@ class Parser
     std::vector<Token> tokens_;
     DiagEngine &diags_;
     size_t pos_ = 0;
+    /** Byte offset just past the last consumed token. */
+    size_t consumedEnd_ = 0;
     /** Current nesting level (see kMaxNestingDepth). */
     int depth_ = 0;
 };

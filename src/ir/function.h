@@ -109,6 +109,8 @@ class Function : public Value
     }
 
   private:
+    friend class BodyCloner;
+
     Module *module_;
     Type *funcType_;
     std::vector<std::unique_ptr<Argument>> args_;

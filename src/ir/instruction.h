@@ -134,6 +134,8 @@ class Instruction : public Value
     void eraseFromParent();
 
   private:
+    friend class BodyCloner;
+
     Opcode op_;
     BasicBlock *parent_ = nullptr;
     std::vector<Value *> operands_;

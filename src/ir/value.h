@@ -19,6 +19,7 @@
 
 namespace repro::ir {
 
+class BodyCloner;
 class Instruction;
 class Function;
 
@@ -77,6 +78,7 @@ class Value
 
   private:
     friend class Instruction;
+    friend class BodyCloner;
     void addUser(Instruction *inst) { users_.push_back(inst); }
     void removeUser(Instruction *inst);
 

@@ -96,7 +96,8 @@ formatSubmitResponse(const SubmitOutcome &outcome);
 /** Render the STATS response line. */
 std::string formatStats(const driver::CacheCounters &counters,
                         size_t entries, size_t capacity,
-                        size_t sessions);
+                        size_t sessions,
+                        const CompileCounters &compile);
 
 } // namespace repro::service
 

@@ -329,7 +329,8 @@ serveConnection(MatchService &service, LineIO &io,
             io.write(formatStats(service.cache().counters(),
                                  service.cache().size(),
                                  service.cache().capacity(),
-                                 service.sessionCount()) +
+                                 service.sessionCount(),
+                                 service.compileCounters()) +
                      "\n");
             break;
           case Request::Verb::Capacity:

@@ -35,21 +35,28 @@ MatchService::submit(const std::string &moduleName,
     SubmitOutcome outcome;
     outcome.module = moduleName;
 
-    // Compile into a fresh module first: a failed submission must
-    // leave the previous session fully intact. compileMiniC verifies
-    // the final IR in every VerifyMode, so nothing malformed reaches
-    // the shared cache.
-    ir::Module module;
+    // Compile into a fresh module, reusing the session's last one: a
+    // failed submission must leave the previous session fully intact.
+    // compileMiniC verifies the whole final module in every
+    // VerifyMode, so nothing malformed reaches the shared cache.
+    auto session = sessions_.find(moduleName);
+    auto compiled = std::make_unique<frontend::CompiledModule>();
+    ir::Module &module = compiled->module;
     module.setName(moduleName);
     auto t0 = std::chrono::steady_clock::now();
     DiagEngine diags;
-    if (!frontend::compileMiniC(source, module, diags)) {
+    if (!frontend::compileMiniC(
+            source, *compiled, diags,
+            session != sessions_.end() ? session->second.compiled.get()
+                                       : nullptr)) {
         outcome.error = diags.all().empty()
                             ? std::string("compilation failed")
                             : diags.all().front().str();
         return outcome;
     }
     outcome.compileMillis = millisSince(t0);
+    counters_.compiled += compiled->compiled;
+    counters_.reused += compiled->reused;
 
     // One driver per request, sharing only the MatchCache. The
     // deadline clock starts when the solve starts, not when the
@@ -112,8 +119,8 @@ MatchService::submit(const std::string &moduleName,
         }
     }
 
-    // The outcome holds no pointers into the module, which dies here.
-    sessions_[moduleName] = outcome;
+    // The outcome holds no pointers into the module.
+    sessions_[moduleName] = Session{outcome, std::move(compiled)};
     return outcome;
 }
 
@@ -125,7 +132,7 @@ MatchService::lastOutcome(const std::string &moduleName,
     auto it = sessions_.find(moduleName);
     if (it == sessions_.end())
         return false;
-    *out = it->second;
+    *out = it->second.outcome;
     return true;
 }
 
@@ -146,6 +153,7 @@ MatchService::reset()
     std::lock_guard<std::mutex> lock(mutex_);
     sessions_.clear();
     cache_->clear();
+    counters_ = {};
 }
 
 size_t
@@ -153,6 +161,13 @@ MatchService::sessionCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return sessions_.size();
+}
+
+CompileCounters
+MatchService::compileCounters() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return counters_;
 }
 
 } // namespace repro::service

@@ -4,14 +4,20 @@
  *
  * The batch pipeline recompiles, re-analyzes and re-solves everything
  * on every invocation; MatchService is the long-lived alternative a
- * daemon fronts. It keeps one session per client module name (the
- * outcome of its last successful submission) and matches every
- * submission with a fresh MatchingDriver attached to the shared
- * MatchCache, so resubmitting an edited module re-solves only the
- * functions whose structural contentHash() changed — every unchanged
- * function replays its cached matches, re-anchored onto the freshly
- * compiled IR (see driver/match_cache.h for the keying and
- * portability story).
+ * daemon fronts. It keeps one session per client module name: the
+ * outcome of its last successful submission and the module that
+ * submission compiled to. Each submission compiles incrementally
+ * against that module (frontend::CompiledModule): a function whose
+ * source and the module's declarations did not change has its
+ * optimized IR copied, and only the edited functions are compiled.
+ * It then matches with a fresh MatchingDriver attached to the shared
+ * MatchCache, so only the functions whose structural contentHash()
+ * changed are re-solved — every unchanged function replays its
+ * cached matches, re-anchored onto the new IR (see
+ * driver/match_cache.h for the keying and portability story).
+ *
+ * The retained modules cost memory: about the IR of one module per
+ * live session, until DROP or RESET frees it. No cap bounds it.
  *
  * The MatchCache is shared across all sessions: two clients
  * submitting the same kernel body share one entry, regardless of
@@ -21,6 +27,8 @@
  * socket server may call into one MatchService freely. The cache
  * holds portable matches only, never pointers into a session's IR,
  * so replacing or dropping a session cannot leave anything dangling.
+ * A session's module is matched once, then only read, by the
+ * compile of the module's next submission.
  */
 #ifndef SERVICE_SERVICE_H
 #define SERVICE_SERVICE_H
@@ -32,6 +40,7 @@
 #include <vector>
 
 #include "driver/driver.h"
+#include "frontend/compiler.h"
 
 namespace repro::service {
 
@@ -115,6 +124,16 @@ struct SubmitOutcome
     std::vector<MatchOutcome> matchList;
 };
 
+/**
+ * Functions compiled and copied by successful submissions since the
+ * service started or was last reset (STATS compiled= and reused=).
+ */
+struct CompileCounters
+{
+    uint64_t compiled = 0;
+    uint64_t reused = 0;
+};
+
 /** The long-lived matching service. */
 class MatchService
 {
@@ -123,9 +142,11 @@ class MatchService
 
     /**
      * Compile @p source as module @p moduleName and match it,
-     * replaying every function already known to the cache. Replaces
-     * the module's previous session on success; on a compile error
-     * the previous session (if any) survives untouched.
+     * reusing the IR of every function the session's last module
+     * already holds unchanged and replaying every function already
+     * known to the cache. Replaces the module's previous session on
+     * success; on a compile error the previous session (if any)
+     * survives untouched.
      *
      * @p deadlineMillis bounds the solve wall-clock (0 = fall back
      * to ServiceOptions::defaultDeadlineMillis; 0 there too =
@@ -147,13 +168,15 @@ class MatchService
     bool lastOutcome(const std::string &moduleName,
                      SubmitOutcome *out) const;
 
-    /** Drop one session; returns false when absent. */
+    /** Drop one session and its module; returns false when absent. */
     bool drop(const std::string &moduleName);
 
-    /** Drop every session and every cache entry. */
+    /** Drop every session, every cache entry and the counters. */
     void reset();
 
     size_t sessionCount() const;
+
+    CompileCounters compileCounters() const;
 
     /**
      * The shared match cache: its counters, size and capacity, and
@@ -169,8 +192,15 @@ class MatchService
     mutable std::mutex mutex_;
     ServiceOptions opts_;
     std::shared_ptr<driver::MatchCache> cache_;
-    /** Last successful outcome per module name. */
-    std::map<std::string, SubmitOutcome> sessions_;
+    /** A module name's last successful submission. */
+    struct Session
+    {
+        SubmitOutcome outcome;
+        /** What the next submission compiles against. */
+        std::unique_ptr<frontend::CompiledModule> compiled;
+    };
+    std::map<std::string, Session> sessions_;
+    CompileCounters counters_;
 };
 
 } // namespace repro::service
