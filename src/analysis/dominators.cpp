@@ -10,15 +10,16 @@ DomTree::DomTree(Function *func, bool post_dom)
     : func_(func), postDom_(post_dom)
 {
     build();
-    buildFrontiers();
 }
 
 int
 DomTree::indexOf(const BasicBlock *bb) const
 {
-    auto it = nodeIndex_.find(bb);
-    reproAssert(it != nodeIndex_.end(), "DomTree: foreign block");
-    return it->second;
+    int i = func_->blockIndex(bb);
+    reproAssert(i >= 0 && static_cast<size_t>(i) < nodes_.size() &&
+                    nodes_[i] == bb,
+                "DomTree: foreign block");
+    return i;
 }
 
 void
@@ -26,10 +27,8 @@ DomTree::build()
 {
     const auto &blocks = func_->blocks();
     int n = static_cast<int>(blocks.size());
-    for (int i = 0; i < n; ++i) {
+    for (int i = 0; i < n; ++i)
         nodes_.push_back(blocks[i].get());
-        nodeIndex_[blocks[i].get()] = i;
-    }
 
     // Forward edges at block level.
     std::vector<std::vector<int>> succ(n + 1), pred(n + 1);
@@ -79,18 +78,18 @@ DomTree::build()
     }
     std::reverse(order.begin(), order.end());
 
-    rpoNumber_.assign(num_nodes, -1);
+    std::vector<int> rpoNumber(num_nodes, -1);
     for (size_t i = 0; i < order.size(); ++i)
-        rpoNumber_[order[i]] = static_cast<int>(i);
+        rpoNumber[order[i]] = static_cast<int>(i);
 
     idom_.assign(num_nodes, -1);
     idom_[root_] = root_;
 
     auto intersect = [&](int a, int b) {
         while (a != b) {
-            while (rpoNumber_[a] > rpoNumber_[b])
+            while (rpoNumber[a] > rpoNumber[b])
                 a = idom_[a];
-            while (rpoNumber_[b] > rpoNumber_[a])
+            while (rpoNumber[b] > rpoNumber[a])
                 b = idom_[b];
         }
         return a;
@@ -104,7 +103,7 @@ DomTree::build()
                 continue;
             int new_idom = -1;
             for (int p : pred[node]) {
-                if (idom_[p] == -1 || rpoNumber_[p] == -1)
+                if (idom_[p] == -1 || rpoNumber[p] == -1)
                     continue;
                 new_idom = new_idom == -1 ? p : intersect(p, new_idom);
             }
@@ -116,10 +115,35 @@ DomTree::build()
     }
 
     preds_ = std::move(pred);
+
+    // Preorder in/out numbers over the tree: a dominates b iff b's
+    // interval nests in a's.
+    std::vector<std::vector<int>> children(num_nodes);
+    for (int node : order) {
+        if (node != root_ && idom_[node] != -1)
+            children[idom_[node]].push_back(node);
+    }
+    in_.assign(num_nodes, -1);
+    out_.assign(num_nodes, -1);
+    int clock = 0;
+    std::vector<std::pair<int, size_t>> walk;
+    walk.emplace_back(root_, 0);
+    in_[root_] = clock++;
+    while (!walk.empty()) {
+        auto &[node, next] = walk.back();
+        if (next < children[node].size()) {
+            int child = children[node][next++];
+            in_[child] = clock++;
+            walk.emplace_back(child, 0);
+        } else {
+            out_[node] = clock++;
+            walk.pop_back();
+        }
+    }
 }
 
 void
-DomTree::buildFrontiers()
+DomTree::buildFrontiers() const
 {
     int n = static_cast<int>(nodes_.size());
     frontiers_.assign(n, {});
@@ -135,7 +159,8 @@ DomTree::buildFrontiers()
                     auto &fr = frontiers_[runner];
                     BasicBlock *bb =
                         const_cast<BasicBlock *>(nodes_[b]);
-                    if (std::find(fr.begin(), fr.end(), bb) == fr.end())
+                    // All of b's insertions happen here, in a row.
+                    if (fr.empty() || fr.back() != bb)
                         fr.push_back(bb);
                 }
                 if (idom_[runner] == -1)
@@ -162,19 +187,9 @@ bool
 DomTree::dominates(const BasicBlock *a, const BasicBlock *b) const
 {
     int ia = indexOf(a), ib = indexOf(b);
-    if (idom_[ib] == -1 || rpoNumber_[ib] == -1)
-        return false; // b unreachable
-    int runner = ib;
-    while (true) {
-        if (runner == ia)
-            return true;
-        if (runner == root_ || idom_[runner] == -1)
-            return false;
-        int next = idom_[runner];
-        if (next == runner)
-            return runner == ia;
-        runner = next;
-    }
+    if (in_[ia] == -1 || in_[ib] == -1)
+        return false; // off the tree (unreachable)
+    return in_[ia] <= in_[ib] && out_[ib] <= out_[ia];
 }
 
 bool
@@ -202,6 +217,10 @@ DomTree::strictlyDominates(const Instruction *a,
 const std::vector<BasicBlock *> &
 DomTree::frontier(const BasicBlock *bb) const
 {
+    if (!haveFrontiers_) {
+        buildFrontiers();
+        haveFrontiers_ = true;
+    }
     return frontiers_[indexOf(bb)];
 }
 

@@ -10,7 +10,6 @@
 #ifndef ANALYSIS_DOMINATORS_H
 #define ANALYSIS_DOMINATORS_H
 
-#include <map>
 #include <vector>
 
 #include "ir/function.h"
@@ -25,6 +24,12 @@ using ir::Instruction;
  * A dominator tree over the CFG of one function. With @p post_dom set,
  * the tree is computed on the reversed CFG (a virtual exit node joins
  * every returning block), yielding post-dominance.
+ *
+ * Nodes are the function's blocks by ordinal (Function::blockIndex).
+ * Block dominance is O(1) from DFS in/out numbers of the tree, and
+ * same-block instruction dominance compares instruction ordinals, so
+ * the tree stays valid while instructions move between blocks; adding
+ * or removing blocks or edges stales it.
  */
 class DomTree
 {
@@ -44,7 +49,10 @@ class DomTree
     bool strictlyDominates(const Instruction *a,
                            const Instruction *b) const;
 
-    /** Dominance frontier of @p bb (used by mem2reg / control deps). */
+    /**
+     * Dominance frontier of @p bb (used by mem2reg). The frontiers
+     * are built on the first call.
+     */
     const std::vector<BasicBlock *> &frontier(const BasicBlock *bb) const;
 
     Function *function() const { return func_; }
@@ -52,18 +60,19 @@ class DomTree
   private:
     int indexOf(const BasicBlock *bb) const;
     void build();
-    void buildFrontiers();
+    void buildFrontiers() const;
 
     Function *func_;
     bool postDom_;
     // Node 0..N-1 are blocks in function order; node N is the virtual
     // root used for post-dominance when several blocks return.
     std::vector<const BasicBlock *> nodes_;
-    std::map<const BasicBlock *, int> nodeIndex_;
     std::vector<int> idom_;
     std::vector<std::vector<int>> preds_;
-    std::vector<int> rpoNumber_;
-    std::vector<std::vector<BasicBlock *>> frontiers_;
+    /** Preorder entry / exit numbers in the tree; -1 off the tree. */
+    std::vector<int> in_, out_;
+    mutable std::vector<std::vector<BasicBlock *>> frontiers_;
+    mutable bool haveFrontiers_ = false;
     int root_ = 0;
 };
 

@@ -41,7 +41,10 @@ class CodeGen
         for (const auto &g : unit_.globals)
             module_.createGlobal(g.name, irTypeOf(g.type, false));
         // Declare all functions first so calls resolve in any order.
+        std::set<std::string> defined;
         for (const auto &f : unit_.functions) {
+            if (f->body && !defined.insert(f->name).second)
+                fail(f->loc, "redefinition of '" + f->name + "'");
             if (module_.functionByName(f->name))
                 continue;
             std::vector<Type *> params;

@@ -36,20 +36,21 @@ std::vector<std::string>
 definitionSources(const TranslationUnit &unit, const ir::Module &module,
                   const std::string &source)
 {
-    std::map<std::string, std::vector<const FunctionDecl *>> byName;
+    // declareIR rejected every second definition of a name.
+    std::map<std::string, const FunctionDecl *> byName;
     for (const auto &f : unit.functions) {
         if (f->body)
-            byName[f->name].push_back(f.get());
+            byName.emplace(f->name, f.get());
     }
     std::vector<std::string> out;
     out.reserve(module.functions().size());
     for (const auto &f : module.functions()) {
         auto it = byName.find(f->name());
-        if (it == byName.end() || it->second.size() != 1) {
+        if (it == byName.end()) {
             out.emplace_back();
             continue;
         }
-        const FunctionDecl &d = *it->second.front();
+        const FunctionDecl &d = *it->second;
         out.push_back(
             source.substr(d.sourceBegin, d.sourceEnd - d.sourceBegin));
     }

@@ -52,8 +52,8 @@ struct CompiledModule
     std::string declarations;
     /**
      * Per function of the module, by index: the exact source text of
-     * its definition. Empty for builtins, declarations and names
-     * defined more than once, which are never reused.
+     * its definition. Empty for builtins and declarations, which are
+     * never reused.
      */
     std::vector<std::string> definitions;
     /** Functions this compile generated and copied, respectively. */

@@ -61,17 +61,21 @@ isSpeculatable(const Instruction *inst)
  * promotion order depend on heap addresses, so two compiles of the
  * same source in one process could emit differently-ordered (if
  * semantically equal) IR — which breaks every byte-identical
- * differential comparison downstream.
+ * differential comparison downstream. Sorted by block ordinal, so
+ * the cost follows the loop's size, not the function's.
  */
 std::vector<BasicBlock *>
 blocksInLayoutOrder(const Function *func, const Loop &loop)
 {
+    std::vector<std::pair<int, BasicBlock *>> ordered;
+    ordered.reserve(loop.blocks.size());
+    for (BasicBlock *bb : loop.blocks)
+        ordered.emplace_back(func->blockIndex(bb), bb);
+    std::sort(ordered.begin(), ordered.end());
     std::vector<BasicBlock *> out;
-    out.reserve(loop.blocks.size());
-    for (const auto &bb : func->blocks()) {
-        if (loop.contains(bb.get()))
-            out.push_back(bb.get());
-    }
+    out.reserve(ordered.size());
+    for (const auto &entry : ordered)
+        out.push_back(entry.second);
     return out;
 }
 

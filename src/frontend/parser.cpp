@@ -1,5 +1,6 @@
 #include "frontend/parser.h"
 
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -98,6 +99,24 @@ class Parser
         }
     }
 
+    /**
+     * @p convert()'s value of the literal @p tok; a literal past the
+     * range of its type is a located parse error.
+     */
+    template <typename Convert>
+    auto
+    literalValue(const Token &tok, const char *what, Convert convert)
+        -> decltype(convert())
+    {
+        try {
+            return convert();
+        } catch (const std::out_of_range &) {
+            diags_.error(tok.loc, std::string(what) + " '" + tok.text +
+                                      "' is out of range");
+            throw FatalError("MiniC parse error");
+        }
+    }
+
     bool
     atTypeKeyword() const
     {
@@ -167,7 +186,8 @@ class Parser
                     diags_.error(n.loc, "expected array size literal");
                     throw FatalError("MiniC parse error");
                 }
-                type.dims.push_back(std::stoll(n.text));
+                type.dims.push_back(literalValue(
+                    n, "array size", [&] { return std::stoll(n.text); }));
                 expectPunct("]");
             }
             first = false;
@@ -660,7 +680,8 @@ class Parser
                     digits.back() == 'u' || digits.back() == 'U')) {
                 digits.pop_back();
             }
-            e->intValue = std::stoll(digits);
+            e->intValue = literalValue(
+                t, "integer literal", [&] { return std::stoll(digits); });
             return e;
         }
         if (t.is(TokKind::FloatLiteral)) {
@@ -671,7 +692,8 @@ class Parser
                                                digits.back() == 'F');
             if (e->isFloat32)
                 digits.pop_back();
-            e->floatValue = std::stod(digits);
+            e->floatValue = literalValue(
+                t, "floating literal", [&] { return std::stod(digits); });
             return e;
         }
         if (t.is(TokKind::Identifier)) {

@@ -1,7 +1,6 @@
 #include "frontend/passes.h"
 
 #include <deque>
-#include <set>
 #include <vector>
 
 namespace repro::frontend {
@@ -16,22 +15,28 @@ removeUnreachableBlocks(Function *func)
 {
     if (func->isDeclaration())
         return 0;
-    std::set<BasicBlock *> reachable;
+    // By block ordinal; the blocks do not move until the deletions.
+    std::vector<char> reachable(func->blocks().size(), 0);
+    auto isReachable = [&](const BasicBlock *bb) {
+        return reachable[static_cast<size_t>(func->blockIndex(bb))] != 0;
+    };
     std::deque<BasicBlock *> queue;
     queue.push_back(func->entry());
-    reachable.insert(func->entry());
+    reachable[0] = 1;
     while (!queue.empty()) {
         BasicBlock *bb = queue.front();
         queue.pop_front();
         for (BasicBlock *s : bb->successors()) {
-            if (reachable.insert(s).second)
+            if (!isReachable(s)) {
+                reachable[static_cast<size_t>(func->blockIndex(s))] = 1;
                 queue.push_back(s);
+            }
         }
     }
 
     std::vector<BasicBlock *> dead;
     for (const auto &bb : func->blocks()) {
-        if (!reachable.count(bb.get()))
+        if (!isReachable(bb.get()))
             dead.push_back(bb.get());
     }
     if (dead.empty())
@@ -39,7 +44,7 @@ removeUnreachableBlocks(Function *func)
 
     // Remove phi incomings that reference dead predecessors.
     for (const auto &bb : func->blocks()) {
-        if (!reachable.count(bb.get()))
+        if (!isReachable(bb.get()))
             continue;
         for (const auto &inst : bb->insts()) {
             if (!inst->is(Opcode::Phi))
@@ -49,7 +54,7 @@ removeUnreachableBlocks(Function *func)
             std::vector<std::pair<ir::Value *, BasicBlock *>> keep;
             for (size_t k = 0; k < phi->numOperands(); ++k) {
                 BasicBlock *in = phi->incomingBlocks()[k];
-                if (reachable.count(in))
+                if (isReachable(in))
                     keep.emplace_back(phi->operand(k), in);
                 else
                     any_dead = true;
@@ -62,12 +67,14 @@ removeUnreachableBlocks(Function *func)
         }
     }
 
-    // Drop operand edges inside dead blocks, then delete the blocks.
+    // Drop operand edges inside dead blocks, then delete the blocks,
+    // last first so every erasure finds its block's ordinal current.
     for (BasicBlock *bb : dead) {
         for (const auto &inst : bb->insts())
             inst->dropOperands();
     }
-    for (BasicBlock *bb : dead) {
+    for (auto it = dead.rbegin(); it != dead.rend(); ++it) {
+        BasicBlock *bb = *it;
         // Instructions in dead blocks may still formally "use" each
         // other; operand edges were dropped above so destruction is
         // safe even with users tracked.
@@ -83,15 +90,25 @@ aggressiveDCE(Function *func)
 {
     if (func->isDeclaration())
         return 0;
-    std::set<Instruction *> live;
+    // live[b][i]: instruction i of block b is live.
+    std::vector<std::vector<char>> live;
+    for (const auto &bb : func->blocks())
+        live.emplace_back(bb->size(), 0);
     std::deque<Instruction *> queue;
 
     auto mark = [&](ir::Value *v) {
         if (!v->isInstruction())
             return;
         auto *inst = static_cast<Instruction *>(v);
-        if (live.insert(inst).second)
+        if (inst->function() != func)
+            return;
+        char &flag =
+            live[static_cast<size_t>(func->blockIndex(inst->parent()))]
+                [static_cast<size_t>(inst->parent()->indexOf(inst))];
+        if (!flag) {
+            flag = 1;
             queue.push_back(inst);
+        }
     };
 
     for (const auto &bb : func->blocks()) {
@@ -111,16 +128,14 @@ aggressiveDCE(Function *func)
     }
 
     std::vector<Instruction *> dead;
-    for (const auto &bb : func->blocks()) {
-        for (const auto &inst : bb->insts()) {
-            if (!live.count(inst.get()))
-                dead.push_back(inst.get());
+    for (size_t b = 0; b < live.size(); ++b) {
+        const auto &insts = func->blocks()[b]->insts();
+        for (size_t i = 0; i < insts.size(); ++i) {
+            if (!live[b][i])
+                dead.push_back(insts[i].get());
         }
     }
-    for (Instruction *inst : dead)
-        inst->dropOperands();
-    for (Instruction *inst : dead)
-        inst->eraseFromParent();
+    func->eraseInstructions(dead);
     return static_cast<int>(dead.size());
 }
 

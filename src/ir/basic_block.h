@@ -16,7 +16,14 @@ namespace repro::ir {
 
 class Function;
 
-/** A node of the control flow graph. */
+/**
+ * A node of the control flow graph.
+ *
+ * Position and predecessor queries are answered from tables the
+ * parent Function rebuilds lazily after a mutation invalidated them
+ * (docs/ARCHITECTURE.md, "Cost of IR queries"): instruction ordinals
+ * per block, block ordinals and predecessor lists per function.
+ */
 class BasicBlock
 {
   public:
@@ -53,7 +60,11 @@ class BasicBlock
     /** Insert before position @p index. */
     Instruction *insert(size_t index, std::unique_ptr<Instruction> inst);
 
-    /** Index of @p inst in this block; -1 if absent. */
+    /**
+     * Index of @p inst in this block; -1 if @p inst is null, detached
+     * or in another block. O(1) amortized; reads @p inst, so it must
+     * be live.
+     */
     int indexOf(const Instruction *inst) const;
 
     /** Detach and destroy @p inst. */
@@ -62,16 +73,33 @@ class BasicBlock
     /** Release @p inst without destroying it. */
     std::unique_ptr<Instruction> detach(Instruction *inst);
 
-    /** Successor blocks derived from the terminator. */
-    std::vector<BasicBlock *> successors() const;
+    /** Successor blocks: the terminator's targets (none without one). */
+    const std::vector<BasicBlock *> &successors() const;
 
-    /** Predecessor blocks, scanning the parent function. */
-    std::vector<BasicBlock *> predecessors() const;
+    /**
+     * Blocks of the parent function whose successors include this
+     * one, each once, in function layout order. O(1) amortized.
+     */
+    const std::vector<BasicBlock *> &predecessors() const;
 
   private:
+    friend class Function;
+    friend class Instruction;
+
+    /** Mark the instruction ordinals stale from @p index on. */
+    void invalidateOrdinals(size_t index) const;
+    /** Mark the parent's predecessor lists stale. */
+    void invalidateCFG() const;
+
     std::string name_;
     Function *parent_;
     std::vector<std::unique_ptr<Instruction>> insts_;
+    /** Instruction ordinals are valid below this index. */
+    mutable size_t ordinalsValid_ = 0;
+    /** Position in the parent's block list, while its layout is valid. */
+    mutable size_t ordinal_ = 0;
+    /** This block's predecessors, while the parent's CFG is valid. */
+    mutable std::vector<BasicBlock *> preds_;
 };
 
 } // namespace repro::ir

@@ -44,16 +44,14 @@ class BodyCloner
                 }
             }
         }
-        for (size_t i = 0; i < src_.numArgs(); ++i)
-            values_.emplace(src_.arg(i), dst_.arg(i));
         for (const auto &bb : src_.blocks())
-            blocks_.emplace(bb.get(), dst_.createBlock(bb->name()));
+            blocks_.push_back(dst_.createBlock(bb->name()));
 
         // Every instruction before any operand: phis use values
-        // defined further down.
-        for (const auto &bb : src_.blocks()) {
-            BasicBlock *to = blocks_.at(bb.get());
-            for (const auto &inst : bb->insts()) {
+        // defined further down. A copy sits at its original's block
+        // and instruction ordinals.
+        for (size_t b = 0; b < blocks_.size(); ++b) {
+            for (const auto &inst : src_.blocks()[b]->insts()) {
                 auto copy = std::make_unique<Instruction>(
                     inst->opcode(), mapType(inst->type()), inst->name());
                 copy->setCmpPred(inst->cmpPred());
@@ -63,14 +61,14 @@ class BodyCloner
                         static_cast<Function *>(mapValue(inst->callee())));
                 }
                 for (BasicBlock *target : inst->blockTargets())
-                    copy->addBlockTarget(blocks_.at(target));
-                values_.emplace(inst.get(), to->append(std::move(copy)));
+                    copy->addBlockTarget(
+                        blocks_.at(src_.blockIndex(target)));
+                blocks_[b]->append(std::move(copy));
             }
         }
         for (const auto &bb : src_.blocks()) {
             for (const auto &inst : bb->insts()) {
-                auto *copy =
-                    static_cast<Instruction *>(values_.at(inst.get()));
+                Instruction *copy = copyOf(inst.get());
                 copy->operands_.reserve(inst->numOperands());
                 for (Value *op : inst->operands())
                     copy->operands_.push_back(mapValue(op));
@@ -82,17 +80,35 @@ class BodyCloner
         // values (constants, globals) also have users in other
         // functions; ours go after those, in the relative order src
         // gave them.
-        for (const auto &[from, to] : values_) {
+        auto copyUsers = [&](const Value *from, Value *to) {
             for (Instruction *user : from->users()) {
                 if (user->function() == &src_)
-                    to->users_.push_back(
-                        static_cast<Instruction *>(values_.at(user)));
+                    to->users_.push_back(copyOf(user));
             }
+        };
+        for (size_t i = 0; i < src_.numArgs(); ++i)
+            copyUsers(src_.arg(i), dst_.arg(i));
+        for (const auto &bb : src_.blocks()) {
+            for (const auto &inst : bb->insts())
+                copyUsers(inst.get(), copyOf(inst.get()));
         }
+        for (const auto &[from, to] : values_)
+            copyUsers(from, to);
         dst_.nameCounter_ = src_.nameCounter_;
     }
 
   private:
+    /** The copy of src's instruction @p inst. */
+    Instruction *
+    copyOf(const Instruction *inst) const
+    {
+        const BasicBlock *bb = inst->parent();
+        return blocks_.at(src_.blockIndex(bb))
+            ->insts()
+            .at(bb->indexOf(inst))
+            .get();
+    }
+
     Type *
     mapType(Type *t)
     {
@@ -129,10 +145,15 @@ class BodyCloner
         return out;
     }
 
-    /** Counterpart of a value defined outside src's body. */
+    /** Counterpart of an operand: src's own values by position,
+     *  anything else through values_. */
     Value *
     mapValue(Value *v)
     {
+        if (v->isArgument())
+            return dst_.arg(static_cast<Argument *>(v)->index());
+        if (v->isInstruction())
+            return copyOf(static_cast<Instruction *>(v));
         auto it = values_.find(v);
         if (it != values_.end())
             return it->second;
@@ -166,8 +187,10 @@ class BodyCloner
     Function &dst_;
     Module &module_;
     std::unordered_map<const Type *, Type *> types_;
+    /** Constants, globals and callees of src mapped so far. */
     std::unordered_map<const Value *, Value *> values_;
-    std::unordered_map<const BasicBlock *, BasicBlock *> blocks_;
+    /** dst's blocks, by src block ordinal. */
+    std::vector<BasicBlock *> blocks_;
 };
 
 void

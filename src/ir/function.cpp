@@ -1,9 +1,10 @@
 #include "ir/function.h"
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 #include <sstream>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "support/diagnostics.h"
 
@@ -34,8 +35,13 @@ Function::dropAllReferences()
 BasicBlock *
 Function::createBlock(const std::string &name)
 {
+    // A new block has no predecessors yet: the CFG stays valid.
     blocks_.emplace_back(new BasicBlock(name, this));
-    return blocks_.back().get();
+    BasicBlock *bb = blocks_.back().get();
+    bb->ordinal_ = blocks_.size() - 1;
+    if (layoutValid_ == bb->ordinal_)
+        ++layoutValid_;
+    return bb;
 }
 
 BasicBlock *
@@ -51,11 +57,15 @@ Function::blockByName(const std::string &name) const
 int
 Function::blockIndex(const BasicBlock *bb) const
 {
-    for (size_t i = 0; i < blocks_.size(); ++i) {
-        if (blocks_[i].get() == bb)
-            return static_cast<int>(i);
-    }
-    return -1;
+    if (!bb || bb->parent() != this)
+        return -1;
+    size_t at = bb->ordinal_;
+    if (at < blocks_.size() && blocks_[at].get() == bb)
+        return static_cast<int>(at);
+    for (size_t i = layoutValid_; i < blocks_.size(); ++i)
+        blocks_[i]->ordinal_ = i;
+    layoutValid_ = blocks_.size();
+    return static_cast<int>(bb->ordinal_);
 }
 
 void
@@ -63,7 +73,81 @@ Function::eraseBlock(BasicBlock *bb)
 {
     int idx = blockIndex(bb);
     reproAssert(idx >= 0, "eraseBlock: block not in function");
+    layoutValid_ = std::min(layoutValid_, static_cast<size_t>(idx));
+    cfgValid_ = false;
     blocks_.erase(blocks_.begin() + idx);
+}
+
+void
+Function::ensureCFG() const
+{
+    if (cfgValid_)
+        return;
+    for (const auto &bb : blocks_)
+        bb->preds_.clear();
+    // Layout order, each predecessor once: a block's repeated targets
+    // are met while it is still the last entry of the target's list.
+    for (const auto &bb : blocks_) {
+        for (BasicBlock *succ : bb->successors()) {
+            if (!succ || succ->parent() != this)
+                continue;
+            auto &preds = succ->preds_;
+            if (preds.empty() || preds.back() != bb.get())
+                preds.push_back(bb.get());
+        }
+    }
+    cfgValid_ = true;
+}
+
+void
+Function::eraseInstructions(const std::vector<Instruction *> &dead)
+{
+    std::unordered_set<const Instruction *> doomed(
+        dead.begin(), dead.end(), 2 * dead.size());
+    // One filtering pass per used value instead of one search per
+    // operand edge.
+    std::vector<Value *> used;
+    std::unordered_set<const Value *> seen(2 * dead.size());
+    for (Instruction *inst : dead) {
+        for (Value *op : inst->operands_) {
+            if (seen.insert(op).second)
+                used.push_back(op);
+        }
+        inst->operands_.clear();
+    }
+    for (Value *v : used) {
+        auto &users = v->users_;
+        users.erase(std::remove_if(users.begin(), users.end(),
+                                   [&](const Instruction *u) {
+                                       return doomed.count(u) > 0;
+                                   }),
+                    users.end());
+    }
+
+    std::vector<BasicBlock *> blocks;
+    std::unordered_set<const BasicBlock *> touched;
+    for (Instruction *inst : dead) {
+        reproAssert(inst->unused(),
+                    "eraseInstructions: instruction still has users");
+        BasicBlock *bb = inst->parent();
+        reproAssert(bb && bb->parent() == this,
+                    "eraseInstructions: instruction not in function");
+        if (touched.insert(bb).second)
+            blocks.push_back(bb);
+    }
+    for (BasicBlock *bb : blocks) {
+        auto &insts = bb->insts_;
+        auto doomedAt = [&](const std::unique_ptr<Instruction> &i) {
+            return doomed.count(i.get()) > 0;
+        };
+        if (doomedAt(insts.back()))
+            cfgValid_ = false;
+        auto first = std::find_if(insts.begin(), insts.end(), doomedAt);
+        bb->invalidateOrdinals(
+            static_cast<size_t>(first - insts.begin()));
+        insts.erase(std::remove_if(first, insts.end(), doomedAt),
+                    insts.end());
+    }
 }
 
 std::vector<Value *>
@@ -164,19 +248,29 @@ Function::contentHash() const
     ContentHasher hasher;
 
     // Dense positional identities for every locally defined value and
-    // block; forward references (phis) resolve because the maps are
-    // built before any operand is visited.
-    std::unordered_map<const Value *, uint32_t> local;
-    std::unordered_map<const BasicBlock *, uint32_t> blockIdx;
-    uint32_t next = 0;
-    for (const auto &a : args_)
-        local.emplace(a.get(), next++);
-    for (const auto &bb : blocks_) {
-        blockIdx.emplace(bb.get(),
-                         static_cast<uint32_t>(blockIdx.size()));
-        for (const auto &inst : bb->insts())
-            local.emplace(inst.get(), next++);
+    // block: arguments first, then instructions in layout order, so an
+    // instruction's identity is its block's first index plus its
+    // ordinal there. Forward references (phis) resolve the same way.
+    std::vector<uint32_t> firstOf(blocks_.size());
+    uint32_t next = static_cast<uint32_t>(args_.size());
+    for (size_t b = 0; b < blocks_.size(); ++b) {
+        firstOf[b] = next;
+        next += static_cast<uint32_t>(blocks_[b]->size());
     }
+    auto localIndex = [&](const Value *v) -> int64_t {
+        if (v->isArgument()) {
+            const auto *a = static_cast<const Argument *>(v);
+            return a->parent() == this ? a->index() : -1;
+        }
+        if (!v->isInstruction())
+            return -1;
+        const auto *inst = static_cast<const Instruction *>(v);
+        const BasicBlock *bb = inst->parent();
+        if (!bb || bb->parent() != this)
+            return -1;
+        return firstOf[static_cast<size_t>(blockIndex(bb))] +
+               static_cast<uint32_t>(bb->indexOf(inst));
+    };
 
     hasher.mix(args_.size());
     for (const auto &a : args_)
@@ -198,10 +292,10 @@ Function::contentHash() const
 
             hasher.mix(inst->numOperands());
             for (const Value *op : inst->operands()) {
-                auto it = local.find(op);
-                if (it != local.end()) {
+                int64_t index = localIndex(op);
+                if (index >= 0) {
                     hasher.mix(uint64_t(0x10));
-                    hasher.mix(it->second);
+                    hasher.mix(static_cast<uint32_t>(index));
                     continue;
                 }
                 switch (op->kind()) {
@@ -241,9 +335,9 @@ Function::contentHash() const
             const auto &targets = inst->blockTargets();
             hasher.mix(targets.size());
             for (const BasicBlock *t : targets) {
-                auto bt = blockIdx.find(t);
-                hasher.mix(bt != blockIdx.end() ? bt->second
-                                                : uint32_t(~0u));
+                int index = blockIndex(t);
+                hasher.mix(index >= 0 ? static_cast<uint32_t>(index)
+                                      : uint32_t(~0u));
             }
         }
     }

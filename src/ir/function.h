@@ -55,10 +55,24 @@ class Function : public Value
         return blocks_.empty() ? nullptr : blocks_.front().get();
     }
     BasicBlock *blockByName(const std::string &name) const;
+
+    /**
+     * Position of @p bb in blocks(); -1 if @p bb is null or a block of
+     * another function. O(1) amortized; reads @p bb, so it must be
+     * live.
+     */
     int blockIndex(const BasicBlock *bb) const;
 
     /** Remove an unreachable block (must have no live instructions). */
     void eraseBlock(BasicBlock *bb);
+
+    /**
+     * Drop the operand edges of every instruction in @p dead and
+     * destroy them all. No instruction outside @p dead may use one of
+     * them. Linear in the blocks and use lists touched, where erasing
+     * them one at a time costs a block scan each.
+     */
+    void eraseInstructions(const std::vector<Instruction *> &dead);
 
     /**
      * Assign dense ids to arguments and instructions and return every
@@ -109,7 +123,11 @@ class Function : public Value
     }
 
   private:
+    friend class BasicBlock;
     friend class BodyCloner;
+
+    /** Rebuild every block's predecessor list if a mutation staled it. */
+    void ensureCFG() const;
 
     Module *module_;
     Type *funcType_;
@@ -117,6 +135,10 @@ class Function : public Value
     std::vector<std::unique_ptr<BasicBlock>> blocks_;
     std::vector<std::string> attributes_;
     int nameCounter_ = 0;
+    /** Block ordinals are valid below this index. */
+    mutable size_t layoutValid_ = 0;
+    /** Every block's predecessor list is current. */
+    mutable bool cfgValid_ = true;
 };
 
 /** Top-level container: functions, globals and interned constants. */

@@ -109,6 +109,22 @@ Instruction::dropOperands()
 }
 
 void
+Instruction::addBlockTarget(BasicBlock *bb)
+{
+    if (parent_)
+        parent_->invalidateCFG();
+    blocks_.push_back(bb);
+}
+
+void
+Instruction::setBlockTarget(size_t i, BasicBlock *bb)
+{
+    if (parent_)
+        parent_->invalidateCFG();
+    blocks_[i] = bb;
+}
+
+void
 Instruction::addIncoming(Value *v, BasicBlock *bb)
 {
     reproAssert(op_ == Opcode::Phi, "addIncoming on non-phi");

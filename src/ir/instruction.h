@@ -68,7 +68,6 @@ class Instruction : public Value
     bool is(Opcode op) const { return op_ == op; }
 
     BasicBlock *parent() const { return parent_; }
-    void setParent(BasicBlock *bb) { parent_ = bb; }
     Function *function() const;
 
     // Operands -----------------------------------------------------------
@@ -85,8 +84,10 @@ class Instruction : public Value
     {
         return blocks_;
     }
-    void addBlockTarget(BasicBlock *bb) { blocks_.push_back(bb); }
-    void setBlockTarget(size_t i, BasicBlock *bb) { blocks_[i] = bb; }
+    /** Retargeting a placed terminator invalidates its function's
+     *  predecessor lists. */
+    void addBlockTarget(BasicBlock *bb);
+    void setBlockTarget(size_t i, BasicBlock *bb);
 
     bool isTerminator() const { return op_ == Opcode::Br ||
                                        op_ == Opcode::Ret; }
@@ -134,10 +135,16 @@ class Instruction : public Value
     void eraseFromParent();
 
   private:
+    friend class BasicBlock;
+    friend class Function;
     friend class BodyCloner;
+
+    void setParent(BasicBlock *bb) { parent_ = bb; }
 
     Opcode op_;
     BasicBlock *parent_ = nullptr;
+    /** Position in parent_, kept by BasicBlock (see indexOf). */
+    size_t ordinal_ = 0;
     std::vector<Value *> operands_;
     std::vector<BasicBlock *> blocks_;
     CmpPred pred_ = CmpPred::EQ;

@@ -78,6 +78,7 @@ class Value
 
   private:
     friend class Instruction;
+    friend class Function;
     friend class BodyCloner;
     void addUser(Instruction *inst) { users_.push_back(inst); }
     void removeUser(Instruction *inst);

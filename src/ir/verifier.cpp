@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
-#include <set>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "analysis/dominators.h"
 #include "ir/printer.h"
@@ -95,27 +95,31 @@ VerifierReport::str() const
 namespace {
 
 /**
- * Ownership universe of one module: which values belong to which
- * function and which are module-owned. Built once per verification and
- * consulted by pointer membership alone — a recorded-then-erased
- * operand is diagnosed without ever being dereferenced.
+ * Ownership universe of one module: which function owns each argument
+ * and instruction, and which values are module-owned. Built once per
+ * verification and consulted by pointer membership alone — a
+ * recorded-then-erased operand is diagnosed without ever being
+ * dereferenced.
  */
 struct Ownership
 {
-    /** Values (arguments + instructions) owned by each function. */
-    std::map<const Function *, std::set<const Value *>> owned;
-    std::set<const Value *> moduleValues; // constants + globals
-    std::set<const Value *> functions;
+    /** Arguments and instructions, mapped to their function. */
+    std::unordered_map<const Value *, const Function *> owner;
+    std::unordered_set<const Value *> moduleValues; // constants + globals
+    std::unordered_set<const Value *> functions;
 
     explicit Ownership(const Module &module)
     {
+        size_t values = 0;
+        for (const auto &f : module.functions())
+            values += f->numArgs() + f->instructionCount();
+        owner.reserve(values);
         for (const auto &f : module.functions()) {
-            auto &set = owned[f.get()];
             for (const auto &arg : f->args())
-                set.insert(arg.get());
+                owner.emplace(arg.get(), f.get());
             for (const auto &bb : f->blocks()) {
                 for (const auto &inst : bb->insts())
-                    set.insert(inst.get());
+                    owner.emplace(inst.get(), f.get());
             }
             functions.insert(f.get());
         }
@@ -129,11 +133,8 @@ struct Ownership
     const Function *
     ownerOf(const Value *v) const
     {
-        for (const auto &[func, set] : owned) {
-            if (set.count(v))
-                return func;
-        }
-        return nullptr;
+        auto it = owner.find(v);
+        return it == owner.end() ? nullptr : it->second;
     }
 };
 
@@ -192,8 +193,7 @@ class FunctionVerifier
   public:
     FunctionVerifier(Function *func, const Ownership &owners,
                      VerifierReport &report)
-        : func_(func), owners_(owners),
-          own_(owners.owned.at(func)), report_(report)
+        : func_(func), owners_(owners), report_(report)
     {}
 
     void
@@ -202,6 +202,7 @@ class FunctionVerifier
         if (func_->isDeclaration())
             return;
         checkAttributes();
+        buildPredecessors();
         checkStructure();
         if (cfgSound_) {
             computeReachability();
@@ -250,10 +251,22 @@ class FunctionVerifier
         }
     }
 
-    bool
-    isOwnBlock(const BasicBlock *bb) const
+    /** Ordinal of @p bb among this function's blocks; -1 when it is
+     *  not one of them. Decided by membership, never by reading @p bb. */
+    int
+    ownBlock(const BasicBlock *bb) const
     {
-        return func_->blockIndex(bb) >= 0;
+        auto it = blockOrdinal_.find(bb);
+        return it == blockOrdinal_.end() ? -1 : it->second;
+    }
+
+    bool isOwnBlock(const BasicBlock *bb) const { return ownBlock(bb) >= 0; }
+
+    /** True when @p v is an argument or instruction of this function. */
+    bool
+    isOwn(const Value *v) const
+    {
+        return owners_.ownerOf(v) == func_;
     }
 
     /** True when @p v may be dereferenced: it is a live value of this
@@ -261,7 +274,31 @@ class FunctionVerifier
     bool
     live(const Value *v) const
     {
-        return own_.count(v) || owners_.moduleValues.count(v);
+        return isOwn(v) || owners_.moduleValues.count(v);
+    }
+
+    /**
+     * Each block's predecessors among this function's blocks, in
+     * layout order and each once, as BasicBlock::predecessors() lists
+     * them; a target outside the function is never read.
+     */
+    void
+    buildPredecessors()
+    {
+        const auto &blocks = func_->blocks();
+        for (size_t i = 0; i < blocks.size(); ++i)
+            blockOrdinal_.emplace(blocks[i].get(), static_cast<int>(i));
+        preds_.assign(blocks.size(), {});
+        for (const auto &bb : blocks) {
+            for (BasicBlock *succ : bb->successors()) {
+                int s = ownBlock(succ);
+                if (s < 0)
+                    continue;
+                auto &preds = preds_[static_cast<size_t>(s)];
+                if (preds.empty() || preds.back() != bb.get())
+                    preds.push_back(bb.get());
+            }
+        }
     }
 
     /**
@@ -296,13 +333,14 @@ class FunctionVerifier
     void
     checkStructure()
     {
-        for (const auto &bb : func_->blocks()) {
+        for (size_t b = 0; b < func_->blocks().size(); ++b) {
+            const auto &bb = func_->blocks()[b];
             if (!bb->terminator()) {
                 diag("block-term", VerifySeverity::Error, bb.get(), -1,
                      "block has no terminator");
                 cfgSound_ = false;
             }
-            auto preds = bb->predecessors();
+            const std::vector<BasicBlock *> &preds = preds_[b];
             bool past_phis = false;
             for (size_t i = 0; i < bb->size(); ++i) {
                 Instruction *inst = bb->insts()[i].get();
@@ -497,23 +535,36 @@ class FunctionVerifier
         }
     }
 
+    /** Only once every branch target is one of this function's
+     *  blocks (cfgSound_). */
+    bool
+    reachable(const BasicBlock *bb) const
+    {
+        return reachable_[static_cast<size_t>(ownBlock(bb))];
+    }
+
     void
     computeReachability()
     {
+        const auto &blocks = func_->blocks();
+        reachable_.assign(blocks.size(), 0);
         std::vector<const BasicBlock *> work{func_->entry()};
-        reachable_.insert(func_->entry());
+        reachable_[0] = 1;
         while (!work.empty()) {
             const BasicBlock *bb = work.back();
             work.pop_back();
             for (BasicBlock *succ : bb->successors()) {
-                if (reachable_.insert(succ).second)
+                int s = ownBlock(succ);
+                if (s >= 0 && !reachable_[static_cast<size_t>(s)]) {
+                    reachable_[static_cast<size_t>(s)] = 1;
                     work.push_back(succ);
+                }
             }
         }
-        for (const auto &bb : func_->blocks()) {
-            if (!reachable_.count(bb.get())) {
+        for (size_t b = 0; b < blocks.size(); ++b) {
+            if (!reachable_[b]) {
                 diag("cfg-unreachable", VerifySeverity::Warning,
-                     bb.get(), -1,
+                     blocks[b].get(), -1,
                      "block is unreachable from the entry");
             }
         }
@@ -523,28 +574,27 @@ class FunctionVerifier
     checkDominance()
     {
         analysis::DomTree dom(func_, false);
-        for (const auto &bb : func_->blocks()) {
-            if (!reachable_.count(bb.get()))
+        for (size_t b = 0; b < func_->blocks().size(); ++b) {
+            if (!reachable_[b])
                 continue; // dominance is undefined off the CFG
-            for (const auto &instp : bb->insts()) {
+            for (const auto &instp : func_->blocks()[b]->insts()) {
                 Instruction *inst = instp.get();
                 if (badOperands_.count(inst))
                     continue;
                 bool is_phi = inst->is(Opcode::Phi);
                 if (is_phi && (inst->incomingBlocks().size() !=
                                    inst->numOperands() ||
-                               inst->numOperands() !=
-                                   bb->predecessors().size())) {
+                               inst->numOperands() != preds_[b].size())) {
                     continue; // already a phi-pred error
                 }
                 for (size_t k = 0; k < inst->numOperands(); ++k) {
                     Value *v = inst->operand(k);
-                    if (!v->isInstruction() || !own_.count(v))
+                    if (!v->isInstruction() || !isOwn(v))
                         continue;
                     auto *def = static_cast<Instruction *>(v);
                     if (is_phi) {
                         checkPhiIncomingDominance(dom, inst, k, def);
-                    } else if (!reachable_.count(def->parent()) ||
+                    } else if (!reachable(def->parent()) ||
                                !dom.strictlyDominates(def, inst)) {
                         errorAt("dom-use", inst,
                                 "use of " + def->handle() +
@@ -567,9 +617,9 @@ class FunctionVerifier
         Instruction *term = in->terminator();
         if (!term)
             return; // already a block-term error
-        if (!reachable_.count(in))
+        if (!reachable(in))
             return; // dominance is undefined off the CFG
-        if (!reachable_.count(def->parent()) ||
+        if (!reachable(def->parent()) ||
             !dom.dominates(def, term)) {
             errorAt("dom-phi", phi,
                     "phi incoming " + def->handle() +
@@ -580,11 +630,13 @@ class FunctionVerifier
 
     Function *func_;
     const Ownership &owners_;
-    const std::set<const Value *> &own_;
     VerifierReport &report_;
     bool cfgSound_ = true;
-    std::set<const BasicBlock *> reachable_;
-    std::set<const Instruction *> badOperands_;
+    std::unordered_map<const BasicBlock *, int> blockOrdinal_;
+    /** By block ordinal. */
+    std::vector<std::vector<BasicBlock *>> preds_;
+    std::vector<char> reachable_;
+    std::unordered_set<const Instruction *> badOperands_;
 };
 
 } // namespace

@@ -323,13 +323,13 @@ TEST(IncrementalCompile, DuplicateNamesAndPrototypes)
     p.functions.insert(p.functions.begin() + 1, "int clamp(int bound);\n");
     s.step(p.source(), 0, 5);
 
-    // A second definition of a name goes into the same function,
-    // which is then never reused.
+    // A second definition of a name is a compile error that keeps
+    // the last good compile.
     p.functions.push_back("int helper(int y) {\n    return y;\n}\n");
-    s.step(p.source(), 1, 4);
-    s.step(p.source(), 1, 4);
+    s.failing(p.source());
+    s.failing(p.source());
     p.functions.pop_back();
-    s.step(p.source(), 1, 4);
+    s.step(p.source(), 0, 5);
     s.step(p.source(), 0, 5);
 }
 

@@ -492,6 +492,44 @@ TEST(Protocol, ReplScriptedEditSession)
     EXPECT_NE(transcript.find("OK bye"), std::string::npos);
 }
 
+TEST(Protocol, CompileErrorsKeepTheConnection)
+{
+    // Literals past their type's range and a second definition of a
+    // name are located compile errors: each SUBMIT answers ERR and the
+    // next request on the same stream is served.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"int h() { return 99999999999999999999; }",
+         "ERR error at 1:18: integer literal '99999999999999999999' is "
+         "out of range"},
+        {"double h() { return 1e999; }",
+         "ERR error at 1:21: floating literal '1e999' is out of range"},
+        {"int g[99999999999999999999];\nint h() { return g[0]; }",
+         "ERR error at 1:7: array size '99999999999999999999' is out of "
+         "range"},
+        {"int f(int x) { return x; }\nint f(int y) { return y + 1; }",
+         "ERR error at 2:5: redefinition of 'f'"},
+    };
+    std::ostringstream script;
+    for (const auto &c : cases) {
+        script << "SUBMIT bad " << c.first.size() << "\n" << c.first;
+        script << "HELLO\n";
+    }
+    service::MatchService svc;
+    std::istringstream in(script.str());
+    std::ostringstream out;
+    EXPECT_EQ(service::runRepl(svc, in, out), 2 * cases.size());
+
+    std::istringstream transcript(out.str());
+    std::string line;
+    for (const auto &c : cases) {
+        ASSERT_TRUE(std::getline(transcript, line));
+        EXPECT_EQ(line, c.second);
+        ASSERT_TRUE(std::getline(transcript, line));
+        EXPECT_EQ(line.rfind("OK service=repro-match protocol=1", 0), 0u)
+            << line;
+    }
+}
+
 TEST(Protocol, OversizedCountedSubmitIsRejectedBeforeAllocation)
 {
     // A hostile byte count must never reach std::string::resize
