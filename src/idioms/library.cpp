@@ -705,13 +705,6 @@ minReadsOf(const std::string &idiom)
     return 0;
 }
 
-/** Collected-read array pattern per idiom. */
-std::string
-readPatternOf(const std::string & /*idiom*/)
-{
-    return "read_value[*]";
-}
-
 } // namespace
 
 std::vector<std::string>
@@ -787,8 +780,7 @@ IdiomDetector::runIdiom(ir::Function *func, const std::string &idiom,
     std::set<const ir::Value *> seen;
     std::vector<IdiomMatch> out;
     for (auto &sol : solutions) {
-        size_t n_reads =
-            sol.lookupArray(readPatternOf(idiom)).size();
+        size_t n_reads = sol.lookupArray("read_value[*]").size();
         if (n_reads < minReadsOf(idiom))
             continue;
         if (is_stencil) {

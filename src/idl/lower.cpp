@@ -3,7 +3,6 @@
 #include <set>
 #include <sstream>
 
-#include "support/string_utils.h"
 
 namespace repro::idl {
 

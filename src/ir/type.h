@@ -108,9 +108,6 @@ class TypeContext
     Type *arrayOf(Type *element, uint64_t count);
     Type *functionTy(Type *ret, std::vector<Type *> params);
 
-    /** Parse a type from its str() rendering; null on failure. */
-    Type *parse(const std::string &text);
-
   private:
     Type *make(Type::Kind kind, Type *element, uint64_t array_size,
                std::vector<Type *> params);

@@ -33,8 +33,8 @@
  *
  * Diagnostics are structured (rule id, function, block, instruction
  * index) so negative-oracle tests can pin exact rules and a compile
- * error (and so the service's wire error) names the rule it broke. The legacy string API remains as a thin wrapper over the
- * error tier.
+ * error (and so the service's wire error) names the rule it broke.
+ * verifyModule renders the error tier as plain strings.
  */
 #ifndef IR_VERIFIER_H
 #define IR_VERIFIER_H
@@ -118,13 +118,10 @@ VerifierReport verifyFunctionDetailed(Function *func);
 VerifierReport verifyModuleDetailed(Module &module);
 
 /**
- * Legacy string API: the error-tier diagnostics of
- * verifyFunctionDetailed rendered as strings (empty when valid).
- * Warnings are not included — they never fail a compile.
+ * String API: the error-tier diagnostics of verifyModuleDetailed
+ * rendered as strings (empty when valid). Warnings are not included —
+ * they never fail a compile.
  */
-std::vector<std::string> verifyFunction(Function *func);
-
-/** Legacy string API over a whole module. */
 std::vector<std::string> verifyModule(Module &module);
 
 /**

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "support/string_utils.h"
 
 namespace repro::solver {
 

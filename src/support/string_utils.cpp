@@ -1,8 +1,6 @@
 #include "support/string_utils.h"
 
 #include <cctype>
-#include <cstdio>
-#include <sstream>
 
 namespace repro {
 
@@ -21,32 +19,6 @@ splitString(const std::string &s, char sep)
     }
     out.push_back(cur);
     return out;
-}
-
-std::string
-joinStrings(const std::vector<std::string> &parts, const std::string &sep)
-{
-    std::ostringstream os;
-    for (size_t i = 0; i < parts.size(); ++i) {
-        if (i)
-            os << sep;
-        os << parts[i];
-    }
-    return os.str();
-}
-
-bool
-startsWith(const std::string &s, const std::string &prefix)
-{
-    return s.size() >= prefix.size() &&
-           s.compare(0, prefix.size(), prefix) == 0;
-}
-
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
 std::string
@@ -71,14 +43,6 @@ replaceAll(std::string s, const std::string &from, const std::string &to)
         pos += to.size();
     }
     return s;
-}
-
-std::string
-formatDouble(double v, int decimals)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
-    return buf;
 }
 
 } // namespace repro

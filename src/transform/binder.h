@@ -19,9 +19,9 @@ namespace repro::transform {
  * @p replacements, so a transformed module stays executable:
  * DSL-backed idioms (reduce/histogram/stencil) call back into their
  * extracted IR kernel functions through the interpreter, while
- * library-backed ones run directly over the checked heap: spmv via
- * runtime/sparse.h's csrmv, gemm through binder.cpp's own loop over
- * Memory loads and stores. Call after
+ * library-backed ones (spmv, gemm) run binder.cpp's own loops over
+ * the checked heap's Memory loads and stores. Backend-suffixed
+ * callees run the same handler as the classic names. Call after
  * transform::RewriteEngine::applyAll and before Interpreter::run.
  */
 void bindReplacements(interp::Interpreter &interp,

@@ -9,7 +9,8 @@
  * CostModel policy flipping a large GEMM onto the dGPU with a
  * suffixed callee and a ranked alternative list, forced backends, the
  * cache-replay rule that selection always re-runs under the CURRENT
- * policy, differential execution of the staged backend handlers, and
+ * policy, differential execution of backend-suffixed callees (they
+ * run the classic handler, so heaps must match byte for byte), and
  * the MATCH-line protocol keys.
  */
 #include <gtest/gtest.h>
@@ -245,7 +246,7 @@ TEST(BackendPolicy, CacheReplayRerunsSelectionUnderCurrentPolicy)
     EXPECT_EQ(rep.calleeName, "__hetero_gemm_f32__cublas_gpu");
 }
 
-// ------------------------------------------- staged backend handlers
+// ------------------------------------------- backend-suffixed callees
 
 TEST(BackendExecution, ForcedDgpuGemmIsByteIdentical)
 {

@@ -4,7 +4,7 @@
 #include "idl/lower.h"
 #include "idl/parser.h"
 #include "idioms/library.h"
-#include "ir/parser.h"
+#include "ir/irbuilder.h"
 #include "solver/solver.h"
 
 using namespace repro;
@@ -26,6 +26,41 @@ solveIdl(ir::Function *func, const std::string &extra_idl,
     analysis::FunctionAnalyses fa(func);
     solver::Solver solver(func, fa);
     return solver.solveAll(lowered);
+}
+
+/** entry -> head -> (then|else) -> merge -> tail: one SESE diamond. */
+void
+buildSeseDiamond(ir::Module &m)
+{
+    ir::TypeContext &t = m.types();
+    ir::Function *f =
+        m.createFunction("f", t.i32Ty(), {t.i1Ty(), t.i32Ty()});
+    f->arg(0)->setName("c");
+    f->arg(1)->setName("a");
+    ir::BasicBlock *entry = f->createBlock("entry");
+    ir::BasicBlock *head = f->createBlock("head");
+    ir::BasicBlock *then_bb = f->createBlock("then");
+    ir::BasicBlock *else_bb = f->createBlock("else");
+    ir::BasicBlock *merge = f->createBlock("merge");
+    ir::BasicBlock *tail = f->createBlock("tail");
+    ir::IRBuilder b(m);
+    b.setInsertPoint(entry);
+    b.br(head);
+    b.setInsertPoint(head);
+    b.condBr(f->arg(0), then_bb, else_bb);
+    b.setInsertPoint(then_bb);
+    ir::Instruction *x = b.add(f->arg(1), b.i32(1), "x");
+    b.br(merge);
+    b.setInsertPoint(else_bb);
+    ir::Instruction *y = b.add(f->arg(1), b.i32(2), "y");
+    b.br(merge);
+    b.setInsertPoint(merge);
+    ir::Instruction *p = b.phi(t.i32Ty(), "p");
+    p->addIncoming(x, then_bb);
+    p->addIncoming(y, else_bb);
+    b.br(tail);
+    b.setInsertPoint(tail);
+    b.ret(p);
 }
 
 } // namespace
@@ -173,27 +208,8 @@ TEST(SeseIdiom, MatchesIfRegion)
 {
     // SESE (Figure 9) finds the single-entry single-exit region
     // spanned by a diamond.
-    const char *text = R"(
-define i32 @f(i1 %c, i32 %a) {
-entry:
-  br label %head
-head:
-  br i1 %c, label %then, label %else
-then:
-  %x = add i32 %a, 1
-  br label %merge
-else:
-  %y = add i32 %a, 2
-  br label %merge
-merge:
-  %p = phi i32 [ %x, %then ], [ %y, %else ]
-  br label %tail
-tail:
-  ret i32 %p
-}
-)";
     ir::Module m;
-    ir::parseModuleOrDie(text, m);
+    buildSeseDiamond(m);
     ir::Function *f = m.functionByName("f");
     auto sols = solveIdl(f, "", "SESE");
     // The branch in %head / the branch in %merge span a SESE region.

@@ -298,8 +298,8 @@ TEST(Verifier, UnreachableBlockIsWarningOnly)
     EXPECT_TRUE(report.ok()) << report.str();
     EXPECT_TRUE(report.hasRule("cfg-unreachable")) << report.str();
     EXPECT_EQ(report.warningCount(), 1u) << report.str();
-    // Warnings never surface through the legacy string API.
-    EXPECT_TRUE(verifyFunction(f).empty());
+    // Warnings never surface through the string API.
+    EXPECT_TRUE(verifyModule(m).empty());
 }
 
 TEST(Verifier, UnknownAttributeIsWarningOnly)
